@@ -6,6 +6,10 @@ fixed-set sizes over the whole symmetry group (weighting each class by its
 size) and exists as the reference the closed forms are regression-tested
 against — a transcription slip in any mod-4 branch shows up as a mismatch.
 
+Only the closed forms use `_rotation_sum`; the assembly route sums the
+rotation classes' `fixcount` values itself on purpose, which keeps the two
+routes independent.  Every route's m-gon count is 0 outside 3 <= m <= n.
+
 Equivalence means rotation and/or reversal of the side ordering; the
 "cyclic" variants drop reversal and quotient by rotations only.
 """
@@ -51,6 +55,14 @@ def _exact_div(num: int, den: int, what: str) -> int:
 # closed forms
 
 
+def _rotation_sum(n: int, m: int | None = None) -> int:
+    """Sum over the rotations of phi(d) times the tuples fixed by one of order d:
+    2^(n/d) over d | n, or C(n/d, m/d) over d | gcd(n, m) when m is given."""
+    if m is None:
+        return sum(totient(d) * 2**(n // d) for d in divisors(n))
+    return sum(totient(d) * binomial(n // d, m // d) for d in divisors(gcd(m, n)))
+
+
 def count_mgons(n: int, m: int) -> int:
     """Inequivalent integer m-gons with perimeter n.
 
@@ -59,7 +71,6 @@ def count_mgons(n: int, m: int) -> int:
     """
     if m < 3 or m > n:
         return 0
-    rotations = sum(totient(d) * binomial(n // d, m // d) for d in divisors(gcd(m, n)))
     half_m = m // 2
     reflections = (
         binomial(half_m + (n - m) // 2, half_m)
@@ -67,16 +78,15 @@ def count_mgons(n: int, m: int) -> int:
         - binomial(n // 4, half_m)
         - (binomial((n + 2) // 4, half_m) if m % 2 == 0 else 0)
     )
-    return _exact_div(rotations + n * reflections, 2 * n, f"m-gon census numerator ({m},{n})")
+    return _exact_div(_rotation_sum(n, m) + n * reflections, 2 * n,
+                      f"m-gon census numerator ({m},{n})")
 
 
 def count_polygons(n: int) -> int:
     """Inequivalent integer polygons (any number of sides) with perimeter n."""
     if n < 3:
         raise ValueError(f"perimeter must be at least 3, got {n}")
-    rotations = _exact_div(
-        sum(totient(d) * 2**(n // d - 1) for d in divisors(n)), n,
-        f"polygon rotation sum (n={n})")
+    rotations = _exact_div(_rotation_sum(n), 2 * n, f"polygon rotation sum (n={n})")
     if n % 4 in (0, 1):
         tail = 3 * 2**((n - 4) // 4)
     else:
@@ -117,11 +127,9 @@ def count_polygons_via_burnside(n: int) -> int:
 
 
 def count_mgons_via_burnside(n: int, m: int) -> int:
-    """m-gon count assembled from per-class fixed-set sizes."""
-    if n < 3:
-        raise ValueError(f"perimeter must be at least 3, got {n}")
-    if not 3 <= m <= n:
-        raise ValueError(f"side count must satisfy 3 <= m <= n, got m={m}, n={n}")
+    """m-gon count assembled from per-class fixed-set sizes; 0 outside 3 <= m <= n."""
+    if m < 3 or m > n:
+        return 0
     total = _dihedral_fix_sum(n, lambda cls: fix_mgons(n, m, cls))
     return _exact_div(total, 2 * n, f"dihedral fix sum ({m},{n})")
 
@@ -137,18 +145,15 @@ def count_mgons_cyclic(n: int, m: int) -> int:
     """
     if m < 3 or m > n:
         return 0
-    rotations = sum(totient(d) * binomial(n // d, m // d) for d in divisors(gcd(m, n)))
-    return _exact_div(rotations, n, f"cyclic fix sum ({m},{n})") - binomial(n // 2, m - 1)
+    rotations = _exact_div(_rotation_sum(n, m), n, f"cyclic fix sum ({m},{n})")
+    return rotations - binomial(n // 2, m - 1)
 
 
 def count_polygons_cyclic(n: int) -> int:
     """Integer polygons with perimeter n, inequivalent up to rotation only."""
     if n < 3:
         raise ValueError(f"perimeter must be at least 3, got {n}")
-    rotations = _exact_div(
-        sum(totient(d) * 2**(n // d) for d in divisors(n)), n,
-        f"cyclic rotation sum (n={n})")
-    return rotations - 1 - 2**(n // 2)
+    return _exact_div(_rotation_sum(n), n, f"cyclic rotation sum (n={n})") - 1 - 2**(n // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,11 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import census, fixcount, model, oracle
 
-__all__ = ["SequenceSpec", "main"]
+__all__ = ["main"]
 
 REPORT_SCHEMA = "perigon-report/1"
 VERIFY_SCHEMA = "perigon-verify/1"
@@ -28,8 +27,15 @@ EXIT_USAGE = 2
 
 DEFAULT_SEED = 1729
 
-FAMILIES = ("pmn", "pn", "pmn-cyclic", "pn-cyclic",
-            "triangles-nearest", "quadrilaterals-nearest")
+# b-file families: value(n, m), looking the census function up at call time
+FAMILIES = {
+    "pmn": lambda n, m: census.count_mgons(n, m),
+    "pn": lambda n, m: census.count_polygons(n),
+    "pmn-cyclic": lambda n, m: census.count_mgons_cyclic(n, m),
+    "pn-cyclic": lambda n, m: census.count_polygons_cyclic(n),
+    "triangles-nearest": lambda n, m: census.triangles_nearest(n),
+    "quadrilaterals-nearest": lambda n, m: census.quadrilaterals_nearest(n),
+}
 
 
 class CliError(Exception):
@@ -55,17 +61,18 @@ def _decimal_digits(v: int) -> int:
 
 
 def _fmt_count(v: int) -> str:
-    """Decimal text of a count, lifting the int-to-str size guard if needed."""
-    if hasattr(sys, "set_int_max_str_digits"):
-        digits = _decimal_digits(v)
-        if digits + 10 > sys.get_int_max_str_digits():
-            sys.set_int_max_str_digits(digits + 10)
-    return str(v)
+    """Decimal text of a count, lifting the int-to-str size guard for this call only."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(v)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(v)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _evaluate_count(n: int, m: int | None, cyclic: bool, method: str) -> int:
-    if m is not None and not 3 <= m <= n:
-        return 0  # empty census for degenerate side counts, whatever the method
     if method == "closed":
         if m is None:
             return census.count_polygons_cyclic(n) if cyclic else census.count_polygons(n)
@@ -148,62 +155,26 @@ def cmd_table(args: argparse.Namespace) -> int:
 # b-files
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
-    """One emittable sequence: a value family and an inclusive index range.
-
-    The printed index starts at `offset` when given, else at the true n.
-    """
-
-    family: str
-    start: int
-    end: int
-    m: int | None = None
-    offset: int | None = None
-
-    def smallest_index(self) -> int:
-        if self.family in ("pn", "pn-cyclic"):
-            return 3
-        if self.family in ("pmn", "pmn-cyclic"):
-            return self.m if self.m is not None else 3
-        return 1  # the nearest-integer rules evaluate from perimeter 1
-
-    def value(self, n: int) -> int:
-        if self.family == "pmn":
-            return census.count_mgons(n, self.m)
-        if self.family == "pn":
-            return census.count_polygons(n)
-        if self.family == "pmn-cyclic":
-            return census.count_mgons_cyclic(n, self.m)
-        if self.family == "pn-cyclic":
-            return census.count_polygons_cyclic(n)
-        if self.family == "triangles-nearest":
-            return census.triangles_nearest(n)
-        return census.quadrilaterals_nearest(n)
-
-    def lines(self) -> list[str]:
-        base = self.offset if self.offset is not None else self.start
-        return [f"{base + i} {_fmt_count(self.value(n))}"
-                for i, n in enumerate(range(self.start, self.end + 1))]
-
-
 def cmd_bfile(args: argparse.Namespace) -> int:
+    lo = 1 if args.family.endswith("-nearest") else 3  # the nearest rules start at 1
     if args.family in ("pmn", "pmn-cyclic"):
         if args.m is None:
             raise CliError(f"--family {args.family} needs --m")
         if args.m < 3:
             raise CliError(f"--m must be at least 3, got {args.m}")
+        lo = args.m
     elif args.m is not None:
         raise CliError(f"--m applies to the pmn families only, not {args.family}")
-    lo = SequenceSpec(args.family, 0, 0, args.m).smallest_index()
-    spec = SequenceSpec(args.family, args.start if args.start is not None else lo,
-                        args.end, args.m, args.offset)
-    if spec.start < lo:
-        raise CliError(f"--start {spec.start} is below the smallest valid index {lo} "
-                       f"for family {spec.family}")
-    if spec.end < spec.start:
-        raise CliError(f"--end {spec.end} is below --start {spec.start}")
-    text = "\n".join(spec.lines()) + "\n"
+    start = args.start if args.start is not None else lo
+    if start < lo:
+        raise CliError(f"--start {start} is below the smallest valid index {lo} "
+                       f"for family {args.family}")
+    if args.end < start:
+        raise CliError(f"--end {args.end} is below --start {start}")
+    value = FAMILIES[args.family]
+    base = args.offset if args.offset is not None else start
+    text = "".join(f"{base + i} {_fmt_count(value(n, args.m))}\n"
+                   for i, n in enumerate(range(start, args.end + 1)))
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -236,29 +207,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks.append(entry)
 
     for n in range(3, max_n + 1):
-        record({"n": n, "m": None, "subject": "polygons",
-                "pair": ["closed-form", "burnside"]},
-               census.count_polygons(n), census.count_polygons_via_burnside(n))
-        record({"n": n, "m": None, "subject": "polygons",
-                "pair": ["closed-form", "oracle"]},
-               census.count_polygons(n),
-               oracle.orbit_count(n, oracle.GroupKind.DIHEDRAL))
-        record({"n": n, "m": None, "subject": "polygons-cyclic",
-                "pair": ["closed-form", "oracle"]},
-               census.count_polygons_cyclic(n),
-               oracle.orbit_count(n, oracle.GroupKind.CYCLIC))
-        for m in range(3, n + 1):
-            record({"n": n, "m": m, "subject": "mgons",
-                    "pair": ["closed-form", "burnside"]},
-                   census.count_mgons(n, m), census.count_mgons_via_burnside(n, m))
-            record({"n": n, "m": m, "subject": "mgons",
-                    "pair": ["closed-form", "oracle"]},
-                   census.count_mgons(n, m),
-                   oracle.orbit_count(n, oracle.GroupKind.DIHEDRAL, weight=m))
-            record({"n": n, "m": m, "subject": "mgons-cyclic",
-                    "pair": ["closed-form", "oracle"]},
-                   census.count_mgons_cyclic(n, m),
-                   oracle.orbit_count(n, oracle.GroupKind.CYCLIC, weight=m))
+        for m in (None, *range(3, n + 1)):
+            for cyclic, method in ((False, "burnside"), (False, "oracle"), (True, "oracle")):
+                subject = ("polygons" if m is None else "mgons") + ("-cyclic" if cyclic else "")
+                record({"n": n, "m": m, "subject": subject,
+                        "pair": [METHOD_NAMES["closed"], METHOD_NAMES[method]]},
+                       _evaluate_count(n, m, cyclic, "closed"),
+                       _evaluate_count(n, m, cyclic, method))
 
         # fixed-set formulas per element class, plus same-count within a class
         seen: dict[model.ElementClass, int] = {}

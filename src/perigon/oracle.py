@@ -148,12 +148,12 @@ def orbit_count(n: int, group: GroupKind, weight: int | None = None) -> int:
     """Number of orbits of good n-tuples under the group, counted directly
     as distinct canonical forms (no group-averaging involved).
 
-    With a weight filter m this is the m-gon census; without, the polygon
-    census.
+    With a weight filter m this is the m-gon census (0 outside 3 <= m <= n);
+    without, the polygon census.
     """
-    _check_scale(n)
     if weight is not None and not 3 <= weight <= n:
-        raise ValueError(f"weight filter must satisfy 3 <= m <= n, got m={weight}, n={n}")
+        return 0
+    _check_scale(n)
     counts = _orbit_counts_by_weight(n, group)
     if weight is None:
         return sum(counts)

@@ -21,6 +21,16 @@ def test_count_mgons_degenerate_is_zero():
     assert census.count_mgons(5, -1) == 0
 
 
+def test_every_route_is_zero_on_degenerate_m():
+    for n in (3, 4, 7, 10, 12):
+        for m in (0, 1, 2, n + 1):
+            assert census.count_mgons(n, m) == 0
+            assert census.count_mgons_cyclic(n, m) == 0
+            assert census.count_mgons_via_burnside(n, m) == 0
+            assert orbit_count(n, GroupKind.DIHEDRAL, weight=m) == 0
+            assert orbit_count(n, GroupKind.CYCLIC, weight=m) == 0
+
+
 def test_count_polygons_examples():
     assert census.count_polygons(3) == 1
     assert census.count_polygons(10) == 54
@@ -43,10 +53,8 @@ def test_burnside_assembly_examples():
 def test_burnside_assembly_rejects_bad_input():
     with pytest.raises(ValueError):
         census.count_polygons_via_burnside(2)
-    with pytest.raises(ValueError):
-        census.count_mgons_via_burnside(10, 2)
-    with pytest.raises(ValueError):
-        census.count_mgons_via_burnside(10, 11)
+    assert census.count_mgons_via_burnside(10, 2) == 0
+    assert census.count_mgons_via_burnside(10, 11) == 0
 
 
 def test_closed_forms_equal_burnside_assembly():

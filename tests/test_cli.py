@@ -1,4 +1,7 @@
 import json
+import sys
+
+import pytest
 
 from perigon import census, cli
 
@@ -212,6 +215,24 @@ def test_verify_documented_sweep(capsys):
     assert json.loads(out)["all_agree"] is True
 
 
+def test_verify_census_record_order(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "7")
+    assert code == 0
+    subjects = {"polygons", "polygons-cyclic", "mgons", "mgons-cyclic"}
+    records = [c for c in json.loads(out)["checks"] if c["subject"] in subjects]
+    assert all(list(c) == ["n", "m", "subject", "pair", "agree"] for c in records)
+    want = []
+    for n in range(3, 8):
+        want += [(n, None, "polygons", ["closed-form", "burnside"]),
+                 (n, None, "polygons", ["closed-form", "oracle"]),
+                 (n, None, "polygons-cyclic", ["closed-form", "oracle"])]
+        for m in range(3, n + 1):
+            want += [(n, m, "mgons", ["closed-form", "burnside"]),
+                     (n, m, "mgons", ["closed-form", "oracle"]),
+                     (n, m, "mgons-cyclic", ["closed-form", "oracle"])]
+    assert [(c["n"], c["m"], c["subject"], c["pair"]) for c in records] == want
+
+
 def test_verify_rejects_beyond_oracle_bound(capsys):
     code, _, err = run(capsys, "verify", "--max-n", "30")
     assert code == 2 and "oracle bound" in err
@@ -259,6 +280,19 @@ def test_bench_output(capsys):
 
 def test_bench_rejects_small_n(capsys):
     assert run(capsys, "bench", "--n", "1")[0] == 2
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str size guard before Python 3.10.7")
+def test_huge_counts_leave_int_str_limit_alone(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "count", "--n", "100000")
+    assert code == 0
+    assert len(out.strip()) == cli._decimal_digits(census.count_polygons(100000))
+    assert sys.get_int_max_str_digits() == limit
+    code, out, _ = run(capsys, "bfile", "--family", "pn", "--start", "14990", "--end", "15000")
+    assert code == 0 and len(out.splitlines()) == 11
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_decimal_digits_matches_str():

@@ -109,8 +109,7 @@ def test_scale_bound():
 
 
 def test_weight_filter_validation():
-    with pytest.raises(ValueError):
-        orbit_count(8, GroupKind.DIHEDRAL, weight=2)
+    assert orbit_count(8, GroupKind.DIHEDRAL, weight=2) == 0
     with pytest.raises(ValueError):
         fix_count_direct(8, GroupElement.identity(8), TupleSet.ALL, weight=9)
     with pytest.raises(ValueError):
