@@ -26,6 +26,7 @@ from .model import (
     ElementClass,
     ElementKind,
     GroupElement,
+    GroupKind,
     NotAPolygonError,
     SideLengths,
     apply,
@@ -40,7 +41,6 @@ from .model import (
 from .numtheory import HalfIntegerError, binomial, divisors, nearest_integer, totient
 from .oracle import (
     ORACLE_MAX_N,
-    GroupKind,
     TupleSet,
     canonical_form,
     fix_count_direct,

@@ -2,9 +2,10 @@
 
 Two evaluation routes are kept side by side on purpose.  The closed forms
 are hand-simplified and fast; the assembly route averages the per-class
-fixed-set sizes over the whole symmetry group (weighting each class by its
-size) and exists as the reference the closed forms are regression-tested
-against — a transcription slip in any mod-4 branch shows up as a mismatch.
+fixed-set sizes over the group, weighting each class by its size from
+`model.element_classes`, and exists as the reference the closed forms are
+regression-tested against — a transcription slip in any mod-4 branch
+shows up as a mismatch.
 
 Only the closed forms use `_rotation_sum`; the assembly route sums the
 rotation classes' `fixcount` values itself on purpose, which keeps the two
@@ -20,7 +21,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from .fixcount import fix_mgons, fix_polygons
-from .model import ElementClass
+from .model import GroupKind, element_classes
 from .numtheory import binomial, divisors, nearest_integer, totient
 
 __all__ = [
@@ -98,40 +99,27 @@ def count_polygons(n: int) -> int:
 # group-average assembly (reference route)
 
 
-def _dihedral_fix_sum(n: int, fix) -> int:
-    """Sum of per-class fixed-set sizes weighted by class size over all 2n
-    symmetries: one identity, phi(d) rotations of each order d > 1, and n
-    reflections (split n/2 + n/2 on even circles)."""
-    total = fix(ElementClass.identity())
-    for d in divisors(n):
-        if d > 1:
-            total += totient(d) * fix(ElementClass.rotation(d))
-    if n % 2 == 1:
-        total += n * fix(ElementClass.reflection_odd())
-    else:
-        total += (n // 2) * fix(ElementClass.reflection_even_no_fixed_point())
-        total += (n // 2) * fix(ElementClass.reflection_even_two_fixed_points())
-    return total
+def _group_average(n: int, group: GroupKind, fix) -> int:
+    """Average of fix(class) over the group's elements on n points, taken
+    class by class; the divisibility by the group order is a self-check."""
+    classes = element_classes(n, group)
+    total = sum(size * fix(cls) for cls, size in classes)
+    return _exact_div(total, sum(size for _, size in classes),
+                      f"{group.value} fix sum (n={n})")
 
 
-def count_polygons_via_burnside(n: int) -> int:
-    """Polygon count assembled from per-class fixed-set sizes.
-
-    Must equal count_polygons(n); the divisibility of the group sum by 2n
-    is asserted as a built-in self-check.
-    """
-    if n < 3:
-        raise ValueError(f"perimeter must be at least 3, got {n}")
-    total = _dihedral_fix_sum(n, lambda cls: fix_polygons(n, cls))
-    return _exact_div(total, 2 * n, f"dihedral fix sum (n={n})")
+def count_polygons_via_burnside(n: int, group: GroupKind = GroupKind.DIHEDRAL) -> int:
+    """Polygon count assembled from per-class fixed-set sizes over the group;
+    must equal count_polygons(n), or count_polygons_cyclic(n) if cyclic."""
+    return _group_average(n, group, lambda cls: fix_polygons(n, cls))
 
 
-def count_mgons_via_burnside(n: int, m: int) -> int:
-    """m-gon count assembled from per-class fixed-set sizes; 0 outside 3 <= m <= n."""
+def count_mgons_via_burnside(n: int, m: int, group: GroupKind = GroupKind.DIHEDRAL) -> int:
+    """m-gon count assembled from per-class fixed-set sizes over the group; 0
+    outside 3 <= m <= n, else equal to count_mgons(n, m) or count_mgons_cyclic(n, m)."""
     if m < 3 or m > n:
         return 0
-    total = _dihedral_fix_sum(n, lambda cls: fix_mgons(n, m, cls))
-    return _exact_div(total, 2 * n, f"dihedral fix sum ({m},{n})")
+    return _group_average(n, group, lambda cls: fix_mgons(n, m, cls))
 
 
 # ---------------------------------------------------------------------------

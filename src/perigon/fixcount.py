@@ -12,22 +12,18 @@ where m/2 appears) contribute zero.
 
 from __future__ import annotations
 
-from .model import ElementClass, ElementKind
+from functools import lru_cache
+
+from .model import ElementClass, ElementKind, GroupKind, element_classes
 from .numtheory import binomial
 
 __all__ = ["fix_mgons", "fix_polygons"]
 
 
+@lru_cache(maxsize=1024)
 def _check_class(n: int, cls: ElementClass) -> None:
-    if n < 3:
-        raise ValueError(f"perimeter must be at least 3, got {n}")
-    if cls.kind is ElementKind.ROTATION and n % cls.order != 0:
-        raise ValueError(f"rotation order {cls.order} does not divide {n}")
-    if cls.kind is ElementKind.REFLECTION_ODD and n % 2 == 0:
-        raise ValueError(f"odd-circle reflection class is inconsistent with even n={n}")
-    if cls.kind in (ElementKind.REFLECTION_EVEN_NO_FIXED_POINT,
-                    ElementKind.REFLECTION_EVEN_TWO_FIXED_POINTS) and n % 2 == 1:
-        raise ValueError(f"even-circle reflection class is inconsistent with odd n={n}")
+    if cls not in dict(element_classes(n, GroupKind.DIHEDRAL)):
+        raise ValueError(f"no symmetry of the {n}-point circle is in class {cls}")
 
 
 def fix_polygons(n: int, cls: ElementClass) -> int:

@@ -6,8 +6,9 @@ Position i of the tuple is the (i+1)-th point read clockwise; every
 congruence below is stated once, on 0-based positions, and nowhere else.
 
 Rotations send position i to i+q (mod n) and reflections send i to
-q-i (mod n); together these 2n maps form the symmetry group under which
-two corner tuples describe the same polygon.
+q-i (mod n).  Two corner tuples describe the same polygon when one of these
+2n maps (the dihedral group), or one of the n rotations (the cyclic group)
+for the rotation-only census, carries one to the other.
 """
 
 from __future__ import annotations
@@ -17,11 +18,14 @@ from enum import Enum
 from math import gcd
 from typing import Iterable, Iterator
 
+from .numtheory import divisors, totient
+
 __all__ = [
     "CircularTuple",
     "ElementClass",
     "ElementKind",
     "GroupElement",
+    "GroupKind",
     "NotAPolygonError",
     "SideLengths",
     "apply",
@@ -29,6 +33,7 @@ __all__ = [
     "classify",
     "cyclic_group",
     "dihedral_group",
+    "element_classes",
     "element_order",
     "is_good",
     "to_sides",
@@ -82,6 +87,13 @@ class CircularTuple:
         return "".join(map(str, self.bits))
 
 
+class GroupKind(Enum):
+    """The group whose orbits are counted: rotations only, or rotations and reflections."""
+
+    CYCLIC = "cyclic"
+    DIHEDRAL = "dihedral"
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """One symmetry of the n marked circle points: a rotation or a reflection.
@@ -118,25 +130,11 @@ class GroupElement:
             return (self.q - i) % self.n
         return (i + self.q) % self.n
 
-    def compose(self, other: GroupElement) -> GroupElement:
-        """The symmetry acting as `other` first, then `self`."""
-        if self.n != other.n:
-            raise ValueError(f"cannot compose elements on {self.n} and {other.n} points")
-        if self.is_reflection:
-            q = (self.q - other.q) % self.n
-        else:
-            q = (self.q + other.q) % self.n
-        return GroupElement(self.n, q, self.is_reflection != other.is_reflection)
-
     def inverse(self) -> GroupElement:
         # reflections are involutions; a rotation inverts by negating its offset
         if self.is_reflection:
             return self
         return GroupElement(self.n, (-self.q) % self.n, False)
-
-    def fixed_points(self) -> tuple[int, ...]:
-        """Positions mapped to themselves."""
-        return tuple(i for i in range(self.n) if self.permutes(i) == i)
 
     def __str__(self) -> str:
         return f"{'reflection' if self.is_reflection else 'rotation'}(n={self.n}, q={self.q})"
@@ -239,6 +237,26 @@ def classify(sigma: GroupElement) -> ElementClass:
     if sigma.q % 2 == 0:
         return ElementClass.reflection_even_two_fixed_points()
     return ElementClass.reflection_even_no_fixed_point()
+
+
+def element_classes(n: int, group: GroupKind) -> list[tuple[ElementClass, int]]:
+    """Each class of the group's elements on n points, with its number of elements.
+
+    The identity; phi(d) rotations of each order d > 1 dividing n; for the
+    dihedral group also the n reflections, n/2 of each kind on an even
+    circle.  The sizes add up to the group order.
+    """
+    if n < 3:
+        raise ValueError(f"perimeter must be at least 3, got {n}")
+    classes = [(ElementClass.identity(), 1)]
+    classes += [(ElementClass.rotation(d), totient(d)) for d in divisors(n) if d > 1]
+    if group is GroupKind.DIHEDRAL:
+        if n % 2 == 1:
+            classes.append((ElementClass.reflection_odd(), n))
+        else:
+            classes.append((ElementClass.reflection_even_no_fixed_point(), n // 2))
+            classes.append((ElementClass.reflection_even_two_fixed_points(), n // 2))
+    return classes
 
 
 def weight(a: CircularTuple) -> int:

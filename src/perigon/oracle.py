@@ -3,8 +3,8 @@
 Everything here works by exhaustive scan over packed bitstrings and shares
 no arithmetic with the formula modules.  Goodness is deliberately
 re-derived from corner gaps (every gap strictly below half the perimeter)
-rather than from zero-run scanning, so the two characterisations of
-"describes a polygon" check each other.
+and badness from the model's zero-run rule, so the two characterisations
+of "describes a polygon" check each other wherever good + bad = all.
 
 Tuples are packed with position 0 in the top bit; integer order on packed
 values is then exactly lexicographic order on tuples, and the least packed
@@ -16,7 +16,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 
-from .model import CircularTuple, GroupElement
+from .model import CircularTuple, GroupElement, GroupKind, bad_block_threshold
 
 __all__ = [
     "ORACLE_MAX_N",
@@ -29,11 +29,6 @@ __all__ = [
 
 # 2**n tuples times 2n symmetries stays desk-scale up to here
 ORACLE_MAX_N = 24
-
-
-class GroupKind(Enum):
-    CYCLIC = "cyclic"
-    DIHEDRAL = "dihedral"
 
 
 class TupleSet(Enum):
@@ -101,6 +96,14 @@ def _good_table(n: int) -> bytes:
     return bytes(1 if _is_polygon(x, n) else 0 for x in range(1 << n))
 
 
+@lru_cache(maxsize=None)
+def _bad_table(n: int) -> bytes:
+    """Badness flag for every packed n-tuple by the model's zero-run rule."""
+    # doubling the text makes every circular run of zeros a substring
+    run = "0" * bad_block_threshold(n)
+    return bytes(1 if run in format(x, f"0{n}b") * 2 else 0 for x in range(1 << n))
+
+
 def _canonical(x: int, n: int, group: GroupKind) -> int:
     best = x
     for q in range(1, n):
@@ -161,39 +164,36 @@ def orbit_count(n: int, group: GroupKind, weight: int | None = None) -> int:
 
 
 @lru_cache(maxsize=None)
-def _fix_profile(n: int, is_reflection: bool, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-weight counts of (all, good) packed tuples fixed by one element."""
-    good = _good_table(n)
+def _fix_profile(n: int, is_reflection: bool, q: int) -> tuple[tuple[int, ...], ...]:
+    """Per-weight counts of (all, good, bad) packed tuples fixed by one element."""
+    good, bad = _good_table(n), _bad_table(n)
     fixed_all = [0] * (n + 1)
     fixed_good = [0] * (n + 1)
+    fixed_bad = [0] * (n + 1)
     for x in range(1 << n):
         if _transform(x, n, is_reflection, q) == x:
             w = x.bit_count()
             fixed_all[w] += 1
-            if good[x]:
-                fixed_good[w] += 1
-    return tuple(fixed_all), tuple(fixed_good)
+            fixed_good[w] += good[x]
+            fixed_bad[w] += bad[x]
+    return tuple(fixed_all), tuple(fixed_good), tuple(fixed_bad)
 
 
 def fix_count_direct(n: int, sigma: GroupElement, subset: TupleSet,
                      weight: int | None = None) -> int:
     """Exhaustive count of the tuples in the chosen subset fixed by sigma.
 
-    The good and bad counts of any element always add up to its count over
-    all tuples; tests lean on that partition.
+    Good tuples are found by the corner-gap test and bad ones by the
+    model's zero-run rule, so the check that good and bad add up to all
+    tuples compares two goodness rules; `verify` and the tests lean on it.
     """
     _check_scale(n)
     if sigma.n != n:
         raise ValueError(f"element acts on {sigma.n} points, scan is over {n}")
     if weight is not None and not 0 <= weight <= n:
         raise ValueError(f"weight filter must satisfy 0 <= m <= n, got m={weight}")
-    fixed_all, fixed_good = _fix_profile(n, sigma.is_reflection, sigma.q)
-    if subset is TupleSet.ALL:
-        counts = fixed_all
-    elif subset is TupleSet.GOOD:
-        counts = fixed_good
-    else:
-        counts = tuple(a - g for a, g in zip(fixed_all, fixed_good))
+    fixed_all, fixed_good, fixed_bad = _fix_profile(n, sigma.is_reflection, sigma.q)
+    counts = {TupleSet.ALL: fixed_all, TupleSet.GOOD: fixed_good, TupleSet.BAD: fixed_bad}[subset]
     if weight is None:
         return sum(counts)
     return counts[weight]

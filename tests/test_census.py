@@ -27,6 +27,7 @@ def test_every_route_is_zero_on_degenerate_m():
             assert census.count_mgons(n, m) == 0
             assert census.count_mgons_cyclic(n, m) == 0
             assert census.count_mgons_via_burnside(n, m) == 0
+            assert census.count_mgons_via_burnside(n, m, GroupKind.CYCLIC) == 0
             assert orbit_count(n, GroupKind.DIHEDRAL, weight=m) == 0
             assert orbit_count(n, GroupKind.CYCLIC, weight=m) == 0
 
@@ -53,15 +54,20 @@ def test_burnside_assembly_examples():
 def test_burnside_assembly_rejects_bad_input():
     with pytest.raises(ValueError):
         census.count_polygons_via_burnside(2)
+    with pytest.raises(ValueError):
+        census.count_polygons_via_burnside(2, GroupKind.CYCLIC)
     assert census.count_mgons_via_burnside(10, 2) == 0
     assert census.count_mgons_via_burnside(10, 11) == 0
 
 
 def test_closed_forms_equal_burnside_assembly():
-    for n in range(3, 201):
-        assert census.count_polygons(n) == census.count_polygons_via_burnside(n)
-        for m in range(3, n + 1):
-            assert census.count_mgons(n, m) == census.count_mgons_via_burnside(n, m)
+    routes = ((GroupKind.DIHEDRAL, census.count_polygons, census.count_mgons),
+              (GroupKind.CYCLIC, census.count_polygons_cyclic, census.count_mgons_cyclic))
+    for group, polygons, mgons in routes:
+        for n in range(3, 201):
+            assert polygons(n) == census.count_polygons_via_burnside(n, group)
+            for m in range(3, n + 1):
+                assert mgons(n, m) == census.count_mgons_via_burnside(n, m, group)
 
 
 def test_row_sums_recover_polygon_count():

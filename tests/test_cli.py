@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from perigon import census, cli
+from perigon import census, cli, model, oracle
 
 
 def run(capsys, *argv):
@@ -47,16 +47,10 @@ def test_count_methods_agree(capsys):
 
 
 def test_count_cyclic(capsys):
-    code, out, _ = run(capsys, "count", "--n", "8", "--m", "4", "--cyclic")
-    assert code == 0 and out.strip() == "6"
-    code, out, _ = run(capsys, "count", "--n", "8", "--m", "4", "--cyclic",
-                       "--method", "oracle")
-    assert code == 0 and out.strip() == "6"
-
-
-def test_count_cyclic_burnside_unsupported(capsys):
-    code, _, err = run(capsys, "count", "--n", "8", "--cyclic", "--method", "burnside")
-    assert code == 2 and "burnside" in err
+    for method in ("closed", "burnside", "oracle"):
+        code, out, _ = run(capsys, "count", "--n", "8", "--m", "4", "--cyclic",
+                           "--method", method)
+        assert code == 0 and out.strip() == "6"
 
 
 def test_count_oracle_bound(capsys):
@@ -253,6 +247,31 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     assert report["all_agree"] is False
     assert report["first_failure"]["n"] == 7
     assert report["first_failure"]["m"] == 4
+
+
+def test_verify_fix_partition_compares_two_goodness_rules(capsys, monkeypatch):
+    # call the regular hexagon no polygon in the corner-gap test only: the
+    # zero-run rule still says it is not bad, so good + bad != all for every
+    # symmetry, all of which fix it
+    real = oracle._is_polygon
+    monkeypatch.setattr(oracle, "_is_polygon", lambda x, n: real(x, n) and x != 0b111111)
+    caches = (oracle._good_table, oracle._bad_table, oracle._fix_profile,
+              oracle._orbit_counts_by_weight)
+    try:
+        for cache in caches:
+            cache.cache_clear()
+        identity = model.GroupElement.identity(6)
+        good, bad, everything = (oracle.fix_count_direct(6, identity, subset) for subset in
+                                 (oracle.TupleSet.GOOD, oracle.TupleSet.BAD, oracle.TupleSet.ALL))
+        assert good != everything - bad
+        code, out, _ = run(capsys, "verify", "--max-n", "6")
+        assert code == 1
+        partition = [c for c in json.loads(out)["checks"]
+                     if c["subject"] == "fix-partition" and c["n"] == 6]
+        assert partition and not any(c["agree"] for c in partition)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_verify_seed_is_deterministic(capsys):

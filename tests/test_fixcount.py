@@ -1,20 +1,8 @@
 import pytest
 
 from perigon.fixcount import fix_mgons, fix_polygons
-from perigon.model import ElementClass, classify, dihedral_group
-from perigon.numtheory import divisors
+from perigon.model import ElementClass, GroupKind, classify, dihedral_group, element_classes
 from perigon.oracle import TupleSet, fix_count_direct
-
-
-def classes_for(n):
-    out = [ElementClass.identity()]
-    out += [ElementClass.rotation(d) for d in divisors(n) if d > 1]
-    if n % 2 == 1:
-        out.append(ElementClass.reflection_odd())
-    else:
-        out.append(ElementClass.reflection_even_no_fixed_point())
-        out.append(ElementClass.reflection_even_two_fixed_points())
-    return out
 
 
 def test_fix_polygons_examples():
@@ -63,7 +51,7 @@ def test_matches_exhaustive_scan():
 def test_column_sums():
     # good tuples partition by weight, so the per-weight counts sum up
     for n in range(3, 41):
-        for cls in classes_for(n):
+        for cls, _ in element_classes(n, GroupKind.DIHEDRAL):
             total = sum(fix_mgons(n, m, cls) for m in range(3, n + 1))
             assert total == fix_polygons(n, cls), (n, str(cls))
 

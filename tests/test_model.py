@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,12 +9,14 @@ from perigon.model import (
     ElementClass,
     ElementKind,
     GroupElement,
+    GroupKind,
     NotAPolygonError,
     apply,
     bad_block_threshold,
     classify,
     cyclic_group,
     dihedral_group,
+    element_classes,
     element_order,
     is_good,
     to_sides,
@@ -32,6 +35,12 @@ def permute_directly(sigma, a):
     for i, bit in enumerate(a.bits):
         out[sigma.permutes(i)] = bit
     return CircularTuple(tuple(out))
+
+
+def compose(s, t):
+    """The symmetry acting as t first, then s, found by searching the group."""
+    return next(u for u in dihedral_group(s.n)
+                if all(u.permutes(i) == s.permutes(t.permutes(i)) for i in range(s.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +109,7 @@ def test_action_law():
         for _ in range(40):
             s, t = rng.choice(elems), rng.choice(elems)
             a = CircularTuple(tuple(rng.randrange(2) for _ in range(n)))
-            assert apply(s.compose(t), a) == apply(s, apply(t, a))
+            assert apply(compose(s, t), a) == apply(s, apply(t, a))
             assert apply(GroupElement.identity(n), a) == a
 
 
@@ -120,11 +129,11 @@ def test_action_preserves_weight_and_goodness():
 def test_inverse_and_order():
     for n in (5, 8, 12):
         for sigma in dihedral_group(n):
-            assert sigma.compose(sigma.inverse()) == GroupElement.identity(n)
+            assert compose(sigma, sigma.inverse()) == GroupElement.identity(n)
             d = element_order(sigma)
             acc = GroupElement.identity(n)
             for k in range(1, d + 1):
-                acc = sigma.compose(acc)
+                acc = compose(sigma, acc)
                 assert (acc == GroupElement.identity(n)) == (k == d)
 
 
@@ -151,7 +160,7 @@ def test_classify_matches_fixed_point_count():
         for q in range(n):
             sigma = GroupElement.reflection(n, q)
             cls = classify(sigma)
-            fixed = len(sigma.fixed_points())
+            fixed = sum(1 for i in range(n) if sigma.permutes(i) == i)
             if n % 2 == 1:
                 assert cls == ElementClass.reflection_odd() and fixed == 1
             elif cls == ElementClass.reflection_even_two_fixed_points():
@@ -172,6 +181,15 @@ def test_classify_partitions_group():
             two = sum(1 for c in reflections
                       if c == ElementClass.reflection_even_two_fixed_points())
             assert two == n // 2 and len(reflections) - two == n // 2
+
+
+def test_element_classes_count_the_group():
+    elements = {GroupKind.CYCLIC: cyclic_group, GroupKind.DIHEDRAL: dihedral_group}
+    for n in range(3, 61):
+        for group, generate in elements.items():
+            assert Counter(classify(s) for s in generate(n)) == dict(element_classes(n, group))
+    with pytest.raises(ValueError):
+        element_classes(2, GroupKind.DIHEDRAL)
 
 
 def test_element_class_validation():
