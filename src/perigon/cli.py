@@ -7,6 +7,7 @@ verification cross-check disagrees, 2 for usage or range errors.
 from __future__ import annotations
 
 import argparse
+import decimal
 import hashlib
 import json
 import random
@@ -46,30 +47,68 @@ class CliError(Exception):
 # shared helpers
 
 
+# floor(log10(2) * 2^144): (b * _LOG10_2) >> _LOG10_2_SHIFT is floor(b log10(2))
+# for every bit length b < 2^64, far beyond any int that fits in memory (the
+# test suite proves it from the continued fraction of log10(2))
+_LOG10_2_SHIFT = 144
+_LOG10_2 = 6713193230417222942720793591814765458232150
+
+
 def _decimal_digits(v: int) -> int:
     """Digit count without converting to a decimal string (cheap for huge v)."""
     v = abs(v)
     if v == 0:
         return 1
-    # 30103/100000 ~ log10(2); correct the estimate in both directions
-    est = max(1, v.bit_length() * 30103 // 100000)
-    while est > 1 and 10 ** (est - 1) > v:
-        est -= 1
-    while 10**est <= v:
-        est += 1
-    return est
+    # 2^(b-1) <= v < 2^b puts the digit count at k or k + 1
+    k = (v.bit_length() * _LOG10_2) >> _LOG10_2_SHIFT
+    return k + 1 if v >= 10**k else k
+
+
+# str(int) is quadratic on CPython before 3.12; above this many bits the
+# split into decimal halves below is faster (measured on 3.10, 3.11 and 3.12)
+_DECIMAL_FROM_BITS = 32_768
+_DECIMAL_LEAF_BITS = 512
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+
+
+def _decimal_text(v: int) -> str:
+    """Decimal text of v >= 0 by divide and conquer: v = hi * 2^h + lo, with
+    hi and lo converted recursively and recombined in exact decimal
+    arithmetic, where multiplication is subquadratic (the method of
+    CPython 3.12's Lib/_pylong.py)."""
+    powers: dict[int, decimal.Decimal] = {}  # 2^w for the widths of this one call
+
+    def power(w: int) -> decimal.Decimal:
+        if w not in powers:
+            if w <= _DECIMAL_LEAF_BITS:
+                powers[w] = decimal.Decimal(1 << w)
+            elif w - 1 in powers:
+                powers[w] = _EXACT.add(powers[w - 1], powers[w - 1])
+            else:
+                powers[w] = _EXACT.multiply(power(w >> 1), power(w - (w >> 1)))
+        return powers[w]
+
+    def convert(v: int, w: int) -> decimal.Decimal:
+        if w <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(v)
+        h = w >> 1
+        hi = v >> h
+        return _EXACT.add(_EXACT.multiply(convert(hi, w - h), power(h)),
+                          convert(v - (hi << h), h))
+
+    return str(convert(v, v.bit_length()))
 
 
 def _fmt_count(v: int) -> str:
-    """Decimal text of a count, lifting the int-to-str size guard for this call only."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return str(v)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(v)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    """Decimal text of a count (v >= 0).  Large counts, and any that str()
+    would refuse under the interpreter's int-to-str digit limit, take the
+    decimal path."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    bits = v.bit_length()
+    # 10^limit > 2^(3 limit), so str() accepts every int of at most 3 limit bits
+    if bits > _DECIMAL_FROM_BITS or 0 < 3 * limit < bits:
+        return _decimal_text(v)
+    return str(v)
 
 
 def _evaluate_count(n: int, m: int | None, cyclic: bool, method: str) -> int:

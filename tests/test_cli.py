@@ -1,5 +1,8 @@
+import decimal
 import json
+import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -314,6 +317,73 @@ def test_huge_counts_leave_int_str_limit_alone(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
-def test_decimal_digits_matches_str():
-    for v in (1, 9, 10, 11, 99, 100, 12345, 10**50, 10**50 - 1, 2**333):
-        assert cli._decimal_digits(v) == len(str(v))
+@pytest.fixture
+def unlimited_int_str():
+    """Lift the int-to-str digit limit for one test, so str() can be the reference."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _floor_log10_2_misses():
+    """Bit lengths b below 10^5 where b * 30103 // 100000 overshoots floor(b log10 2)."""
+    alpha = Fraction(decimal.Context(prec=60).log10(2))
+    return [b for b in range(2, 100_000) if b * 30103 // 100000 != int(b * alpha)][:6]
+
+
+def test_decimal_digits_matches_str(unlimited_int_str):
+    values = [1, 9, 10, 11, 99, 100, 12345, 10**50, 10**50 - 1, 2**333]
+    for k in (1, 2, 17, 300, 1000, 4299, 4300, 4301, 9999, 20_000, 30_103):
+        values += [10**k - 1, 10**k, 10**k + 1]
+    misses = _floor_log10_2_misses()
+    assert misses  # the old 30103/100000 estimate is off by one at these lengths
+    for b in misses:
+        values += [2**(b - 1), 2**b - 1, 2**(b - 2), 2**(b - 1) - 1]
+    for v in values:
+        assert cli._decimal_digits(v) == len(str(v)), v
+
+
+def test_log10_2_constant_is_exact_below_2_to_64():
+    alpha = Fraction(decimal.Context(prec=100).log10(2))  # correctly rounded
+    slack = Fraction(1, 10**98)
+    shortfall = alpha - Fraction(cli._LOG10_2, 2**cli._LOG10_2_SHIFT)
+    assert -slack < shortfall < Fraction(1, 2**cli._LOG10_2_SHIFT) + slack
+    # (b * _LOG10_2) >> _LOG10_2_SHIFT can fall below floor(b log10 2) only when
+    # b log10 2 lies within b * shortfall above an integer.  For b < 2^64 the
+    # closest approach to an integer is at the last continued-fraction
+    # denominator below 2^64 (best approximation), so comparing there suffices.
+    x, q, q_prev = alpha, 1, 0
+    while True:
+        a = x.numerator // x.denominator
+        if a * q + q_prev >= 2**64:
+            break
+        q, q_prev = a * q + q_prev, q
+        x = 1 / (x - a)
+    closest = abs(q * alpha - round(q * alpha))
+    assert 2**64 * (shortfall + slack) < closest - slack
+
+
+def test_decimal_path_matches_str(unlimited_int_str):
+    values = [0, 1, 2**511, 2**512 - 1, 2**512, 2**513 + 1]
+    for k in (9_860, 9_864, 9_865, 9_870, 30_000):
+        values += [10**k - 1, 10**k, 10**k + 1]
+    for b in (cli._DECIMAL_FROM_BITS - 1, cli._DECIMAL_FROM_BITS, cli._DECIMAL_FROM_BITS + 1,
+              65_537, 100_000):
+        values.append(2**b - 1)
+    rng = random.Random(5)
+    values += [rng.getrandbits(rng.randrange(1, 100_000)) for _ in range(12)]
+    for v in values:
+        text = str(v)
+        assert cli._decimal_text(v) == text, v.bit_length()
+        assert cli._fmt_count(v) == text, v.bit_length()
+
+
+def test_huge_count_prints_its_decimal_value(capsys, unlimited_int_str):
+    code, out, _ = run(capsys, "count", "--n", "200000")
+    assert code == 0 and out == str(census.count_polygons(200000)) + "\n"

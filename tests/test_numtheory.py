@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from perigon import numtheory
 from perigon.numtheory import (
     HalfIntegerError,
     binomial,
@@ -94,3 +95,18 @@ def test_nearest_integer_within_half():
             continue
         r = nearest_integer(x)
         assert abs(x - r) < Fraction(1, 2)
+
+
+def test_binomial_equals_math_comb():
+    ratio = numtheory._FACTORISE_RATIO
+    cases = {(x, x // 2 + d) for x in (1023, 1024, 1025) for d in (-1, 0, 1)}
+    for x in (*range(4000, 4004), *range(30_000, 30_004)):  # every x mod 4
+        switch = math.isqrt(ratio * x - 1) + 1  # least min(k, x - k) that factorises
+        for k in (0, 1, 3, x // 4, x // 2 - 1, x // 2, switch - 1, switch):
+            cases |= {(x, k), (x, x - k)}
+    # prime x, prime powers, and exponents from several Kummer carries
+    cases |= {(10_007, 5_003), (10_007, 2_500), (3**9, 3**8 + 1), (3**9, 3**8 - 1),
+              (2**14, 2**13 - 1), (5**6, 2 * 5**5 + 1), (7**5, 7**4 * 3 - 1)}
+    cases.add((200_002, 100_001))  # a central term near x = 2 * 10^5
+    for x, k in sorted(cases):
+        assert binomial(x, k) == math.comb(x, k), (x, k)
