@@ -59,9 +59,9 @@ def _decimal_digits(v: int) -> int:
     v = abs(v)
     if v == 0:
         return 1
-    # 2^(b-1) <= v < 2^b puts the digit count at k or k + 1
+    # 2^(b-1) <= v < 2^b puts the digit count at k or k + 1; v >= 10^k iff v >> k >= 5^k
     k = (v.bit_length() * _LOG10_2) >> _LOG10_2_SHIFT
-    return k + 1 if v >= 10**k else k
+    return k + 1 if (v >> k) >= 5**k else k
 
 
 # str(int) is quadratic on CPython before 3.12; above this many bits the
@@ -278,19 +278,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         record({"n": n, "m": None, "subject": "fix-class-independence",
                 "pair": ["direct", "direct"]}, independent, True)
 
-        # randomized canonical-form probes (idempotence + orbit invariance)
+        # randomized canonical-form probes: every member of a random tuple's
+        # orbit has the explicit orbit minimum as its canonical form, and the
+        # minimum is the one member set in the oracle's orbit-minima mask
         probes_ok = True
         for _ in range(args.probes):
             a = model.CircularTuple(tuple(rng.randrange(2) for _ in range(n)))
-            sigma = model.GroupElement(n, rng.randrange(n), rng.random() < 0.5)
             for kind in model.GroupKind:
-                c = oracle.canonical_form(a, kind)
-                if oracle.canonical_form(c, kind) != c:
+                orbit = {model.apply(g, a) for g in model.dihedral_group(n)
+                         if kind is model.GroupKind.DIHEDRAL or not g.is_reflection}
+                least = min(orbit, key=lambda t: t.bits)
+                if ([b for b in orbit if oracle.is_orbit_minimum(b, kind)] != [least]
+                        or any(oracle.canonical_form(b, kind) != least for b in orbit)):
                     probes_ok = False
-                if kind is model.GroupKind.DIHEDRAL or not sigma.is_reflection:
-                    moved = model.apply(sigma, a)
-                    if oracle.canonical_form(moved, kind) != c:
-                        probes_ok = False
         record({"n": n, "m": None, "subject": "canonical-probes",
                 "pair": ["oracle", "oracle"]}, probes_ok, True)
 

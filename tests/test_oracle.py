@@ -3,15 +3,19 @@ import random
 
 import pytest
 
-from perigon.model import CircularTuple, GroupElement, apply, dihedral_group
+from perigon.census import count_mgons, count_mgons_cyclic
+from perigon.model import CircularTuple, GroupElement, apply, cyclic_group, dihedral_group
 from perigon.oracle import (
     ORACLE_MAX_N,
     GroupKind,
     TupleSet,
     canonical_form,
     fix_count_direct,
+    is_orbit_minimum,
     orbit_count,
 )
+
+GROUPS = ((GroupKind.DIHEDRAL, dihedral_group), (GroupKind.CYCLIC, cyclic_group))
 
 
 def tup(text):
@@ -47,6 +51,32 @@ def test_canonical_form_is_orbit_minimum():
             a = CircularTuple(tuple(rng.randrange(2) for _ in range(n)))
             orbit = [apply(s, a) for s in dihedral_group(n)]
             assert canonical_form(a, GroupKind.DIHEDRAL) == min(orbit, key=lambda t: t.bits)
+
+
+def test_orbit_minima_mask_marks_the_explicit_minima():
+    # the least of each orbit by model.apply over the whole group, tuple by
+    # tuple, against the oracle's mask: exactly the minima for small n, and
+    # for random tuples up to n = 20 the minimum is the one member set
+    for n in range(3, 9):
+        everything = [CircularTuple.from_text(format(x, f"0{n}b")) for x in range(1 << n)]
+        for kind, group in GROUPS:
+            minima = {min((apply(g, a) for g in group(n)), key=lambda t: t.bits)
+                      for a in everything}
+            assert {a for a in everything if is_orbit_minimum(a, kind)} == minima
+    rng = random.Random(406)
+    for n in range(9, 21):
+        for _ in range(5):
+            a = CircularTuple(tuple(rng.randrange(2) for _ in range(n)))
+            for kind, group in GROUPS:
+                orbit = {apply(g, a) for g in group(n)}
+                least = min(orbit, key=lambda t: t.bits)
+                assert [b for b in orbit if is_orbit_minimum(b, kind)] == [least]
+
+
+def test_orbit_counts_at_n20_equal_closed_forms():
+    for m in range(3, 21):
+        assert orbit_count(20, GroupKind.DIHEDRAL, weight=m) == count_mgons(20, m)
+        assert orbit_count(20, GroupKind.CYCLIC, weight=m) == count_mgons_cyclic(20, m)
 
 
 def test_orbit_count_examples():
