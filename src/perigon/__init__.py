@@ -28,7 +28,6 @@ from .model import (
     GroupElement,
     GroupKind,
     NotAPolygonError,
-    SideLengths,
     apply,
     classify,
     cyclic_group,

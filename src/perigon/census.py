@@ -17,12 +17,15 @@ Equivalence means rotation and/or reversal of the side ordering; the
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, gcd
 
 from .fixcount import fix_mgons, fix_polygons
 from .model import GroupKind, element_classes
-from .numtheory import binomial, divisors, nearest_integer, totient
+from .numtheory import _nearest_quotient, binomial, divisors, totient
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "InternalError",
@@ -151,14 +154,14 @@ def count_polygons_cyclic(n: int) -> int:
 def triangles_nearest(n: int) -> int:
     """Triangle count by the quadratic nearest-integer rule.
 
-    Evaluates [n^2/48] for even n and [(n+3)^2/48] for odd n with exact
-    rational arithmetic; the rounded value never sits on a half-integer.
+    Evaluates [n^2/48] for even n and [(n+3)^2/48] for odd n in exact
+    integer arithmetic; the rounded value never sits on a half-integer.
     Agrees with count_mgons(n, 3) for n >= 3 (and is formula-only below).
     """
     if n < 1:
         raise ValueError(f"perimeter must be positive, got {n}")
     square = n * n if n % 2 == 0 else (n + 3) ** 2
-    return nearest_integer(Fraction(square, 48))
+    return _nearest_quotient(square, 48)
 
 
 def quadrilaterals_nearest(n: int) -> int:
@@ -173,7 +176,7 @@ def quadrilaterals_nearest(n: int) -> int:
         cubic = n**3 - 3 * n**2 + 20 * n
     else:
         cubic = n**3 - 7 * n
-    return nearest_integer(Fraction(cubic, 96))
+    return _nearest_quotient(cubic, 96)
 
 
 def quadrilaterals_piecewise(n: int) -> int:
@@ -199,6 +202,8 @@ def quadrilaterals_piecewise(n: int) -> int:
 def asymptotic_polygons(n: int) -> Fraction:
     """Leading-order estimate 2^(n-1)/n of the polygon count, as an exact
     rational (diagnostic use; ratios against it may be floated)."""
+    from fractions import Fraction
+
     if n < 3:
         raise ValueError(f"perimeter must be at least 3, got {n}")
     return Fraction(2 ** (n - 1), n)
@@ -206,6 +211,8 @@ def asymptotic_polygons(n: int) -> Fraction:
 
 def asymptotic_mgon_coefficient(m: int) -> Fraction:
     """Coefficient c(m) with the m-gon count growing like c(m) * n^(m-1)."""
+    from fractions import Fraction
+
     if m < 3:
         raise ValueError(f"side count must be at least 3, got {m}")
     return Fraction(2 ** (m - 1) - m, 2**m * factorial(m))

@@ -2,18 +2,17 @@
 
 Exit codes: 0 on success (and on a fully agreeing verify run), 1 when a
 verification cross-check disagrees, 2 for usage or range errors.
+
+Start-up is part of every command's cost, so a standard-library module that
+only some commands use (decimal, hashlib, json, random) is imported inside
+the function that uses it, not here.
 """
 
 from __future__ import annotations
 
 import argparse
-import decimal
-import hashlib
-import json
-import random
 import sys
 import time
-from pathlib import Path
 
 from . import census, fixcount, model, oracle
 
@@ -68,7 +67,6 @@ def _decimal_digits(v: int) -> int:
 # split into decimal halves below is faster (measured on 3.10, 3.11 and 3.12)
 _DECIMAL_FROM_BITS = 32_768
 _DECIMAL_LEAF_BITS = 512
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
 
 
 def _decimal_text(v: int) -> str:
@@ -76,6 +74,10 @@ def _decimal_text(v: int) -> str:
     hi and lo converted recursively and recombined in exact decimal
     arithmetic, where multiplication is subquadratic (the method of
     CPython 3.12's Lib/_pylong.py)."""
+    import decimal
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            traps=[decimal.Inexact])
     powers: dict[int, decimal.Decimal] = {}  # 2^w for the widths of this one call
 
     def power(w: int) -> decimal.Decimal:
@@ -83,9 +85,9 @@ def _decimal_text(v: int) -> str:
             if w <= _DECIMAL_LEAF_BITS:
                 powers[w] = decimal.Decimal(1 << w)
             elif w - 1 in powers:
-                powers[w] = _EXACT.add(powers[w - 1], powers[w - 1])
+                powers[w] = exact.add(powers[w - 1], powers[w - 1])
             else:
-                powers[w] = _EXACT.multiply(power(w >> 1), power(w - (w >> 1)))
+                powers[w] = exact.multiply(power(w >> 1), power(w - (w >> 1)))
         return powers[w]
 
     def convert(v: int, w: int) -> decimal.Decimal:
@@ -93,8 +95,8 @@ def _decimal_text(v: int) -> str:
             return decimal.Decimal(v)
         h = w >> 1
         hi = v >> h
-        return _EXACT.add(_EXACT.multiply(convert(hi, w - h), power(h)),
-                          convert(v - (hi << h), h))
+        return exact.add(exact.multiply(convert(hi, w - h), power(h)),
+                         convert(v - (hi << h), h))
 
     return str(convert(v, v.bit_length()))
 
@@ -139,6 +141,8 @@ def cmd_count(args: argparse.Namespace) -> int:
         raise CliError(f"--n {n} exceeds the oracle bound {oracle.ORACLE_MAX_N}")
     value = _evaluate_count(n, m, args.cyclic, args.method)
     if args.format == "json":
+        import json
+
         report = {
             "schema": REPORT_SCHEMA,
             "n": n,
@@ -212,7 +216,8 @@ def cmd_bfile(args: argparse.Namespace) -> int:
     text = "".join(f"{base + i} {_fmt_count(value(n, args.m))}\n"
                    for i, n in enumerate(range(start, args.end + 1)))
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as out:
+            out.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -223,6 +228,9 @@ def cmd_bfile(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    import json
+    import random
+
     max_n = args.max_n
     if max_n < 3:
         raise CliError(f"--max-n must be at least 3, got {max_n}")
@@ -321,6 +329,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     n = args.n
     if n < 3:
         raise CliError(f"--n must be at least 3, got {n}")
+    import hashlib
+
     started = time.perf_counter()
     value = census.count_polygons(n)
     elapsed = time.perf_counter() - started

@@ -13,10 +13,9 @@ for the rotation-only census, carries one to the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
 from math import gcd
-from typing import Iterable, Iterator
 
 from .numtheory import divisors, totient
 
@@ -38,7 +37,6 @@ __all__ = [
     "is_good",
     "to_sides",
     "weight",
-    "zero_blocks",
 ]
 
 
@@ -46,17 +44,58 @@ class NotAPolygonError(ValueError):
     """Raised when a circular tuple does not mark the corners of a polygon."""
 
 
-@dataclass(frozen=True)
-class CircularTuple:
+class _Record:
+    """An immutable value whose fields are the names in __slots__, in order.
+
+    Records are equal when their class and fields are, hash and pickle by
+    their fields, and print like a dataclass.  Each subclass validates and
+    stores its fields in a hand-written __init__ (object.__setattr__ gets
+    past the assignment guard) and lists them in a hand-written _key, which
+    the burnside route's class lookups call often enough to matter.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key()
+
+
+class CircularTuple(_Record):
     """An n-tuple over {0,1}, read clockwise around the circle (n >= 3)."""
 
+    __slots__ = ("bits",)
     bits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.bits) < 3:
+    def __init__(self, bits: tuple[int, ...]) -> None:
+        if len(bits) < 3:
             raise ValueError("circular tuples need at least 3 positions")
-        if any(b not in (0, 1) for b in self.bits):
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("tuple entries must be 0 or 1")
+        object.__setattr__(self, "bits", bits)
+
+    def _key(self) -> tuple:
+        return (self.bits,)
 
     @property
     def n(self) -> int:
@@ -68,16 +107,6 @@ class CircularTuple:
         if set(text) - {"0", "1"}:
             raise ValueError(f"not a bitstring: {text!r}")
         return cls(tuple(int(c) for c in text))
-
-    @classmethod
-    def from_ones(cls, n: int, ones: Iterable[int]) -> CircularTuple:
-        """The n-tuple whose 1-entries sit at the given 0-based positions."""
-        bits = [0] * n
-        for i in ones:
-            if not 0 <= i < n:
-                raise ValueError(f"position {i} outside 0..{n - 1}")
-            bits[i] = 1
-        return cls(tuple(bits))
 
     def ones(self) -> tuple[int, ...]:
         """Ascending 0-based positions of the 1-entries."""
@@ -94,23 +123,29 @@ class GroupKind(Enum):
     DIHEDRAL = "dihedral"
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Record):
     """One symmetry of the n marked circle points: a rotation or a reflection.
 
     With offset q, a rotation maps position i to i+q (mod n) and a
     reflection maps i to q-i (mod n).  Rotation offset 0 is the identity.
     """
 
+    __slots__ = ("n", "q", "is_reflection")
     n: int
     q: int
-    is_reflection: bool = False
+    is_reflection: bool
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
+    def __init__(self, n: int, q: int, is_reflection: bool = False) -> None:
+        if n < 3:
             raise ValueError("the circle needs at least 3 points")
-        if not 0 <= self.q < self.n:
-            raise ValueError(f"offset {self.q} not reduced mod {self.n}")
+        if not 0 <= q < n:
+            raise ValueError(f"offset {q} not reduced mod {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "is_reflection", is_reflection)
+
+    def _key(self) -> tuple:
+        return self.n, self.q, self.is_reflection
 
     @classmethod
     def rotation(cls, n: int, q: int) -> GroupElement:
@@ -148,8 +183,7 @@ class ElementKind(Enum):
     REFLECTION_EVEN_TWO_FIXED_POINTS = "reflection-even-two-fixed-points"
 
 
-@dataclass(frozen=True)
-class ElementClass:
+class ElementClass(_Record):
     """The class of a symmetry, as far as fixed-tuple counts care.
 
     All elements of one class fix equally many tuples, so the counting
@@ -158,14 +192,20 @@ class ElementClass:
     zero, or two fixed points.
     """
 
+    __slots__ = ("kind", "order")
     kind: ElementKind
-    order: int | None = None
+    order: int | None
 
-    def __post_init__(self) -> None:
-        if (self.kind is ElementKind.ROTATION) != (self.order is not None):
+    def __init__(self, kind: ElementKind, order: int | None = None) -> None:
+        if (kind is ElementKind.ROTATION) != (order is not None):
             raise ValueError("exactly the non-trivial rotation classes carry an order")
-        if self.order is not None and self.order < 2:
+        if order is not None and order < 2:
             raise ValueError("rotation classes have order >= 2")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "order", order)
+
+    def _key(self) -> tuple:
+        return self.kind, self.order
 
     @classmethod
     def identity(cls) -> ElementClass:
@@ -305,22 +345,26 @@ def is_good(a: CircularTuple) -> bool:
     return all(run < limit for run in zero_blocks(a))
 
 
-@dataclass(frozen=True)
-class SideLengths:
+class SideLengths(_Record):
     """Clockwise side lengths of an integer polygon.
 
     Every side is a positive integer strictly below half the perimeter,
     and there are at least three of them.
     """
 
+    __slots__ = ("sides",)
     sides: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.sides) < 3:
+    def __init__(self, sides: tuple[int, ...]) -> None:
+        if len(sides) < 3:
             raise ValueError("a polygon has at least 3 sides")
-        p = sum(self.sides)
-        if any(s < 1 or 2 * s >= p for s in self.sides):
+        p = sum(sides)
+        if any(s < 1 or 2 * s >= p for s in sides):
             raise ValueError("each side must be a positive integer below half the perimeter")
+        object.__setattr__(self, "sides", sides)
+
+    def _key(self) -> tuple:
+        return (self.sides,)
 
     @property
     def m(self) -> int:

@@ -7,9 +7,12 @@ exact rationals are fractions.Fraction; nothing here touches floats.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["HalfIntegerError", "binomial", "divisors", "nearest_integer", "totient"]
 
@@ -126,6 +129,17 @@ def nearest_integer(x: Fraction) -> int:
     (callers that can prove the half-integer case never arises treat that
     exception as a defect signal).
     """
-    if x.denominator == 2:
-        raise HalfIntegerError(f"{x} is a half-integer; no nearest integer exists")
-    return math.floor(x + Fraction(1, 2))
+    return _nearest_quotient(x.numerator, x.denominator)
+
+
+def _nearest_quotient(num: int, den: int) -> int:
+    """The integer closest to num/den (den > 0), in integer arithmetic:
+    floor((2 num + den) / (2 den)).
+
+    num/den is a half-integer exactly when 2 num = den (mod 2 den), that is
+    when the division is exact; HalfIntegerError is raised there.
+    """
+    q, r = divmod(2 * num + den, 2 * den)
+    if not r:
+        raise HalfIntegerError(f"{num}/{den} is a half-integer; no nearest integer exists")
+    return q

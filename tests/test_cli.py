@@ -1,11 +1,15 @@
 import decimal
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import perigon
 from perigon import census, cli, model, oracle
 
 
@@ -388,3 +392,20 @@ def test_decimal_path_matches_str(unlimited_int_str):
 def test_huge_count_prints_its_decimal_value(capsys, unlimited_int_str):
     code, out, _ = run(capsys, "count", "--n", "200000")
     assert code == 0 and out == str(census.count_polygons(200000)) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+
+def test_import_loads_no_command_only_modules():
+    # a fresh interpreter without site hooks (-S), so that nothing a site
+    # file preloads can hide a module the package itself pulls in at start-up
+    lazy = ("dataclasses", "inspect", "typing", "fractions", "decimal", "json", "hashlib",
+            "random", "pathlib")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(perigon.__file__).resolve().parents[1])
+    code = f"import perigon.cli, sys; print(*sorted(set({lazy!r}) & set(sys.modules)))"
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                            capture_output=True, text=True, timeout=60).stdout.split()
+    assert loaded == []

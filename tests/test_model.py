@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -11,6 +13,7 @@ from perigon.model import (
     GroupElement,
     GroupKind,
     NotAPolygonError,
+    SideLengths,
     apply,
     bad_block_threshold,
     classify,
@@ -61,12 +64,98 @@ def test_text_round_trip():
         assert str(tup(text)) == text
 
 
-def test_from_ones():
-    a = CircularTuple.from_ones(10, [0, 2, 3, 7])
-    assert str(a) == "1011000100"
-    assert a.ones() == (0, 2, 3, 7)
-    with pytest.raises(ValueError):
-        CircularTuple.from_ones(5, [5])
+def test_ones_positions():
+    assert tup("1011000100").ones() == (0, 2, 3, 7)
+    assert tup("0000").ones() == ()
+
+
+# ---------------------------------------------------------------------------
+# the records: immutable values, equal and hashed by their fields
+
+# (record, the same fields given by keyword, a record differing in one field, repr)
+RECORDS = [
+    (CircularTuple((1, 0, 1)), CircularTuple(bits=(1, 0, 1)), CircularTuple((1, 1, 0)),
+     "CircularTuple(bits=(1, 0, 1))"),
+    (GroupElement(5, 2), GroupElement(n=5, q=2, is_reflection=False), GroupElement(5, 2, True),
+     "GroupElement(n=5, q=2, is_reflection=False)"),
+    (ElementClass(ElementKind.ROTATION, 3), ElementClass(kind=ElementKind.ROTATION, order=3),
+     ElementClass(ElementKind.ROTATION, 4),
+     "ElementClass(kind=<ElementKind.ROTATION: 'rotation'>, order=3)"),
+    (SideLengths((2, 3, 4)), SideLengths(sides=(2, 3, 4)), SideLengths((3, 3, 3)),
+     "SideLengths(sides=(2, 3, 4))"),
+]
+
+
+def test_record_construction_and_defaults():
+    a = CircularTuple((1, 0, 1))
+    assert a.bits == (1, 0, 1) and a.n == 3
+    sigma = GroupElement(5, 2)
+    assert (sigma.n, sigma.q, sigma.is_reflection) == (5, 2, False)
+    assert GroupElement(5, 2, is_reflection=True).is_reflection is True
+    cls = ElementClass(ElementKind.IDENTITY)
+    assert (cls.kind, cls.order) == (ElementKind.IDENTITY, None)
+    assert ElementClass(ElementKind.ROTATION, order=6).order == 6
+    sides = SideLengths(sides=(2, 3, 4))
+    assert (sides.sides, sides.m, sides.perimeter) == ((2, 3, 4), 3, 9)
+
+
+@pytest.mark.parametrize("record, same, other, text", RECORDS)
+def test_record_equality_hash_and_repr(record, same, other, text):
+    assert record == same and not record != same
+    assert hash(record) == hash(same)
+    assert record != other and not record == other
+    assert len({record, same, other}) == 2
+    assert repr(record) == text
+
+
+def test_records_differ_across_classes():
+    assert CircularTuple((1, 1, 1)) != SideLengths((1, 1, 1))
+    assert CircularTuple((1, 0, 1)) != (1, 0, 1)
+    assert GroupElement(5, 2) != (5, 2, False)
+    assert ElementClass(ElementKind.IDENTITY) != (ElementKind.IDENTITY, None)
+
+
+@pytest.mark.parametrize("record, same, other, text", RECORDS)
+def test_records_are_immutable(record, same, other, text):
+    field = text[text.index("(") + 1:text.index("=")]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert record == same
+
+
+@pytest.mark.parametrize("record, same, other, text", RECORDS)
+def test_records_survive_pickle_and_copy(record, same, other, text):
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(clone) is type(record)
+        assert clone == record and hash(clone) == hash(record)
+        assert repr(clone) == text
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CircularTuple((1, 0)), "circular tuples need at least 3 positions"),
+    (lambda: CircularTuple((1, 0, 2)), "tuple entries must be 0 or 1"),
+    (lambda: GroupElement(2, 0), "the circle needs at least 3 points"),
+    (lambda: GroupElement(5, 5), "offset 5 not reduced mod 5"),
+    (lambda: GroupElement(5, -1, True), "offset -1 not reduced mod 5"),
+    (lambda: ElementClass(ElementKind.ROTATION),
+     "exactly the non-trivial rotation classes carry an order"),
+    (lambda: ElementClass(ElementKind.REFLECTION_ODD, 2),
+     "exactly the non-trivial rotation classes carry an order"),
+    (lambda: ElementClass(ElementKind.ROTATION, 1), "rotation classes have order >= 2"),
+    (lambda: SideLengths((1, 1)), "a polygon has at least 3 sides"),
+    (lambda: SideLengths((1, 1, 2)),
+     "each side must be a positive integer below half the perimeter"),
+    (lambda: SideLengths((0, 1, 1, 1)),
+     "each side must be a positive integer below half the perimeter"),
+])
+def test_record_validation_messages(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +315,10 @@ def test_zero_blocks_wraps():
 
 
 def test_to_sides_examples():
-    assert to_sides(CircularTuple.from_ones(10, [0, 2, 3, 7])).sides == (2, 1, 4, 3)
+    assert to_sides(tup("1011000100")).sides == (2, 1, 4, 3)
     assert to_sides(tup("11111")).sides == (1, 1, 1, 1, 1)
     with pytest.raises(NotAPolygonError):
-        to_sides(CircularTuple.from_ones(10, [2, 3, 7]))
+        to_sides(tup("0011000100"))
     with pytest.raises(NotAPolygonError):
         to_sides(tup("110000"))
 

@@ -97,6 +97,39 @@ def test_nearest_integer_within_half():
         assert abs(x - r) < Fraction(1, 2)
 
 
+def fraction_route(num, den):
+    """The rounding the nearest rules did in rational arithmetic: floor(num/den + 1/2)."""
+    x = Fraction(num, den)
+    if x.denominator == 2:
+        raise HalfIntegerError(f"{x} is a half-integer")
+    return math.floor(x + Fraction(1, 2))
+
+
+def test_nearest_quotient_equals_fraction_route():
+    # the numerators of the triangle (/48) and quadrilateral (/96) rules
+    for n in range(1, 10**5 + 1):
+        if n % 2 == 0:
+            cases = ((n * n, 48), (n**3 - 3 * n**2 + 20 * n, 96))
+        else:
+            cases = (((n + 3) ** 2, 48), (n**3 - 7 * n, 96))
+        for num, den in cases:
+            assert numtheory._nearest_quotient(num, den) == fraction_route(num, den)
+
+
+@pytest.mark.parametrize("num, den", [(5, 2), (6, 4), (-3, 2), (24, 48), (72, 48),
+                                      (-24, 48), (48, 96), (144, 96), (-240, 96)])
+def test_nearest_quotient_rejects_half_integers(num, den):
+    with pytest.raises(HalfIntegerError):
+        fraction_route(num, den)
+    with pytest.raises(HalfIntegerError):
+        numtheory._nearest_quotient(num, den)
+    with pytest.raises(HalfIntegerError):
+        nearest_integer(Fraction(num, den))
+    # one step either side of the half-integer rounds away from it
+    for near in (num - 1, num + 1):
+        assert numtheory._nearest_quotient(near, den) == fraction_route(near, den)
+
+
 def test_binomial_equals_math_comb():
     ratio = numtheory._FACTORISE_RATIO
     cases = {(x, x // 2 + d) for x in (1023, 1024, 1025) for d in (-1, 0, 1)}
