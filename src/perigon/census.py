@@ -9,7 +9,15 @@ shows up as a mismatch.
 
 Only the closed forms use `_rotation_sum`; the assembly route sums the
 rotation classes' `fixcount` values itself on purpose, which keeps the two
-routes independent.  Every route's m-gon count is 0 outside 3 <= m <= n.
+routes independent.  `mgon_columns` is the m-gon closed form evaluated one
+perimeter at a time, from Pascal's triangle, with its own rotation
+accumulation; the command picks the shape (`table` needs every cell and
+reads columns, `count` needs one cell, which may be far too large for
+Pascal rows).  tests/test_census.py::test_closed_forms_equal_burnside_assembly
+ties it to `count_mgons` and the assembly route cell by cell for n <= 200,
+and tests/test_cli.py::test_table_matches_cell_by_cell_census ties the
+printed table to `count_mgons`.  Every route's m-gon count is 0 outside
+3 <= m <= n.
 
 Equivalence means rotation and/or reversal of the side ordering; the
 "cyclic" variants drop reversal and quotient by rotations only.
@@ -18,6 +26,7 @@ Equivalence means rotation and/or reversal of the side ordering; the
 from __future__ import annotations
 
 from math import factorial, gcd
+from operator import add
 
 from .fixcount import fix_mgons, fix_polygons
 from .model import GroupKind, element_classes
@@ -25,6 +34,7 @@ from .numtheory import _nearest_quotient, binomial, divisors, totient
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
 if TYPE_CHECKING:
+    from collections.abc import Iterator
     from fractions import Fraction
 
 __all__ = [
@@ -38,6 +48,7 @@ __all__ = [
     "count_polygons",
     "count_polygons_cyclic",
     "count_polygons_via_burnside",
+    "mgon_columns",
     "quadrilaterals_nearest",
     "quadrilaterals_piecewise",
     "triangles_nearest",
@@ -84,6 +95,50 @@ def count_mgons(n: int, m: int) -> int:
     )
     return _exact_div(_rotation_sum(n, m) + n * reflections, 2 * n,
                       f"m-gon census numerator ({m},{n})")
+
+
+def mgon_columns(max_n: int) -> Iterator[tuple[int, list[int]]]:
+    """Yield (n, [count_mgons(n, m) for m in 3..n]) for n = 3..max_n.
+
+    The closed form of count_mgons, evaluated one perimeter at a time for
+    callers that need every cell.  Every binomial is read from Pascal's
+    triangle, built by additions.  A column reads row n and rows n/d for the
+    divisors d > 1 of n (the rotations) and rows n//2, (n-1)//2, n//4 and
+    (n+2)//4 (the reflections), so only the rows up to max_n // 2 are kept;
+    row n is built from row n - 1 and dropped after its column.  The
+    rotation sum is accumulated once per divisor d of n, adding
+    phi(d) C(n/d, j) to the entry at m = d j, in place of a walk over the
+    divisors of gcd(n, m) in every cell.
+    """
+    kept = [[1]]  # Pascal rows 0..max_n // 2
+    row = [1]
+    for n in range(1, max_n + 1):
+        row = [1, *map(add, row, row[1:]), 1]
+        if n <= max_n // 2:
+            kept.append(row)
+        if n < 3:
+            continue
+        rotations = row[:]  # the identity's term, C(n, m)
+        for d in divisors(n)[1:]:
+            phi = totient(d)
+            rotations[d::d] = [s + phi * c for s, c in zip(rotations[d::d], kept[n // d][1:])]
+        # the reflection rows, zero-padded so that out-of-range k reads C(x, k) = 0
+        half, half_odd, quarter, quarter_even = (
+            kept[x] + [0] * (n - x) for x in (n // 2, (n - 1) // 2, n // 4, (n + 2) // 4))
+        twice = 2 * n
+        column = []
+        for m in range(3, n + 1):
+            k = m // 2
+            if m % 2:
+                reflections = half_odd[k] - quarter[k]
+            else:
+                reflections = half[k] - quarter[k] - quarter_even[k]
+            num = rotations[m] + n * (reflections - half[m - 1])
+            value, rest = divmod(num, twice)
+            if rest:
+                _exact_div(num, twice, f"m-gon census numerator ({m},{n})")
+            column.append(value)
+        yield n, column
 
 
 def count_polygons(n: int) -> int:

@@ -163,16 +163,20 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def _table_rows(max_n: int) -> list[list[str]]:
+    """The m-gon triangle, row m holding p(m, n) for n = 3..max_n (blank
+    where m > n), then the totals p(n); filled one perimeter at a time."""
     ns = range(3, max_n + 1)
-    rows = [["m\\n"] + [str(n) for n in ns]]
-    for m in ns:
-        cells = [str(m)]
-        for n in ns:
-            cells.append(str(census.count_mgons(n, m)) if m <= n else "")
-        rows.append(cells)
-    totals = ["total"] + [str(census.count_polygons(n)) for n in ns]
-    rows.append(totals)
-    return rows
+    triangle = [[str(m)] + [""] * (m - 3) for m in ns]
+    totals = ["total"]
+    for n, column in census.mgon_columns(max_n):
+        for row, value in zip(triangle, column):
+            row.append(str(value))
+        total = census.count_polygons(n)
+        if sum(column) != total:  # sum over m of p(m, n) is p(n)
+            raise census.InternalError(f"the m-gon counts at perimeter {n} sum to "
+                                       f"{sum(column)}, not p({n}) = {total}")
+        totals.append(str(total))
+    return [["m\\n"] + [str(n) for n in ns], *triangle, totals]
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -183,11 +187,11 @@ def cmd_table(args: argparse.Namespace) -> int:
         for row in rows:
             print(",".join(row))
         return EXIT_OK
-    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
+    widths = [max(map(len, col)) for col in zip(*rows)]
     for row in rows[:-1]:
-        print(" ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip())
+        print(" ".join(map(str.rjust, row, widths)).rstrip())
     print("-" * (sum(widths) + len(widths) - 1))
-    print(" ".join(cell.rjust(w) for cell, w in zip(rows[-1], widths)).rstrip())
+    print(" ".join(map(str.rjust, rows[-1], widths)).rstrip())
     return EXIT_OK
 
 

@@ -68,6 +68,16 @@ def test_closed_forms_equal_burnside_assembly():
             assert polygons(n) == census.count_polygons_via_burnside(n, group)
             for m in range(3, n + 1):
                 assert mgons(n, m) == census.count_mgons_via_burnside(n, m, group)
+    # the per-perimeter evaluation, cell by cell, over every n mod 4 and both parities of m
+    columns = dict(census.mgon_columns(200))
+    assert list(columns) == list(range(3, 201))
+    for n, column in columns.items():
+        assert column == [census.count_mgons(n, m) for m in range(3, n + 1)] == \
+            [census.count_mgons_via_burnside(n, m) for m in range(3, n + 1)]
+    # small max_n, where the kept Pascal rows stop at max_n // 2 = 1, 2, 2, 3
+    for k in (3, 4, 5, 6):
+        assert list(census.mgon_columns(k)) == list(columns.items())[:k - 2]
+    assert list(census.mgon_columns(2)) == []
 
 
 def test_row_sums_recover_polygon_count():

@@ -117,6 +117,37 @@ def test_table_plain_contains_values(capsys):
     assert out.splitlines()[-1].split() == ["total", "1", "1", "3", "5"]
 
 
+@pytest.mark.parametrize("max_n", [3, 4, 5, 6, 7, 41])
+def test_table_matches_cell_by_cell_census(capsys, max_n):
+    ns = range(3, max_n + 1)
+    csv = ["m\\n," + ",".join(map(str, ns))]
+    csv += [f"{m}," + ",".join(str(census.count_mgons(n, m)) if m <= n else "" for n in ns)
+            for m in ns]
+    csv.append("total," + ",".join(str(census.count_polygons(n)) for n in ns))
+    code, out, _ = run(capsys, "table", "--max-n", str(max_n), "--format", "csv")
+    assert code == 0 and out == "\n".join(csv) + "\n"
+
+    code, out, _ = run(capsys, "table", "--max-n", str(max_n))
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == len(ns) + 3
+    assert lines[0].split() == ["m\\n", *map(str, ns)]
+    assert set(lines[-2]) == {"-"}
+    for m, line in zip(ns, lines[1:-2]):
+        cells = line.split()
+        # blank cells sit left of the diagonal, so the values right-align to n = m..max_n
+        assert int(cells[0]) == m
+        assert list(map(int, cells[1:])) == [census.count_mgons(n, m) for n in range(m, max_n + 1)]
+    assert lines[-1].split() == ["total", *(str(census.count_polygons(n)) for n in ns)]
+
+
+def test_table_checks_row_sums(capsys, monkeypatch):
+    polygons = census.count_polygons
+    monkeypatch.setattr(census, "count_polygons", lambda n: polygons(n) + (n == 9))
+    with pytest.raises(census.InternalError, match="perimeter 9"):
+        cli.main(["table", "--max-n", "12", "--format", "csv"])
+
+
 # ---------------------------------------------------------------------------
 # b-files
 
