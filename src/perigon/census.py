@@ -9,15 +9,21 @@ shows up as a mismatch.
 
 Only the closed forms use `_rotation_sum`; the assembly route sums the
 rotation classes' `fixcount` values itself on purpose, which keeps the two
-routes independent.  `mgon_columns` is the m-gon closed form evaluated one
-perimeter at a time, from Pascal's triangle, with its own rotation
-accumulation; the command picks the shape (`table` needs every cell and
-reads columns, `count` needs one cell, which may be far too large for
-Pascal rows).  tests/test_census.py::test_closed_forms_equal_burnside_assembly
-ties it to `count_mgons` and the assembly route cell by cell for n <= 200,
-and tests/test_cli.py::test_table_matches_cell_by_cell_census ties the
-printed table to `count_mgons`.  Every route's m-gon count is 0 outside
-3 <= m <= n.
+routes independent.  Two closed forms also come as runs over a range:
+`mgon_columns` is the m-gon closed form evaluated one perimeter at a time,
+from Pascal's triangle, with its own rotation accumulation, and
+`polygon_values` is the polygon closed form over n = start..end, with the
+divisors of every n from one sieve.  The command picks the shape (`table`
+needs every cell and reads columns, the polygon b-files need every term,
+`count` and `bench` need one value, which may be far too large for Pascal
+rows or a sieve up to n).  A test ties each run to its single-value
+function: tests/test_census.py::test_closed_forms_equal_burnside_assembly
+checks `mgon_columns` against `count_mgons` and the assembly route cell by
+cell for n <= 200, tests/test_census.py::test_polygon_values_equal_single_counts
+checks `polygon_values` against `count_polygons` and `count_polygons_cyclic`
+for n <= 1000, and tests/test_cli.py::test_table_matches_cell_by_cell_census
+ties the printed table to `count_mgons`.  Every route's m-gon count is 0
+outside 3 <= m <= n.
 
 Equivalence means rotation and/or reversal of the side ordering; the
 "cyclic" variants drop reversal and quotient by rotations only.
@@ -25,7 +31,7 @@ Equivalence means rotation and/or reversal of the side ordering; the
 
 from __future__ import annotations
 
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 from operator import add
 
 from .fixcount import fix_mgons, fix_polygons
@@ -49,6 +55,7 @@ __all__ = [
     "count_polygons_cyclic",
     "count_polygons_via_burnside",
     "mgon_columns",
+    "polygon_values",
     "quadrilaterals_nearest",
     "quadrilaterals_piecewise",
     "triangles_nearest",
@@ -70,12 +77,15 @@ def _exact_div(num: int, den: int, what: str) -> int:
 # closed forms
 
 
-def _rotation_sum(n: int, m: int | None = None) -> int:
+def _rotation_sum(n: int, m: int | None = None, divs: list[int] | None = None) -> int:
     """Sum over the rotations of phi(d) times the tuples fixed by one of order d:
-    2^(n/d) over d | n, or C(n/d, m/d) over d | gcd(n, m) when m is given."""
+    2^(n/d) over d | n, or C(n/d, m/d) over d | gcd(n, m) when m is given.
+    divs, if given, are those divisors, taken from a caller's sieve."""
+    if divs is None:
+        divs = divisors(n if m is None else gcd(m, n))
     if m is None:
-        return sum(totient(d) * 2**(n // d) for d in divisors(n))
-    return sum(totient(d) * binomial(n // d, m // d) for d in divisors(gcd(m, n)))
+        return sum(totient(d) << (n // d) for d in divs)
+    return sum(totient(d) * binomial(n // d, m // d) for d in divs)
 
 
 def count_mgons(n: int, m: int) -> int:
@@ -141,16 +151,45 @@ def mgon_columns(max_n: int) -> Iterator[tuple[int, list[int]]]:
         yield n, column
 
 
+def _polygon_count(n: int, rotations: int, cyclic: bool) -> int:
+    """The polygon count at perimeter n >= 3 from its rotation sum: the exact
+    division by the group order (2n, or n if cyclic), then the tail terms."""
+    if cyclic:
+        return _exact_div(rotations, n, f"cyclic rotation sum (n={n})") - 1 - (1 << (n // 2))
+    if n % 4 in (0, 1):
+        tail = 3 << ((n - 4) // 4)
+    else:
+        tail = 1 << ((n + 2) // 4)
+    return (_exact_div(rotations, 2 * n, f"polygon rotation sum (n={n})")
+            + (1 << ((n - 3) // 2)) - tail)
+
+
 def count_polygons(n: int) -> int:
     """Inequivalent integer polygons (any number of sides) with perimeter n."""
     if n < 3:
         raise ValueError(f"perimeter must be at least 3, got {n}")
-    rotations = _exact_div(_rotation_sum(n), 2 * n, f"polygon rotation sum (n={n})")
-    if n % 4 in (0, 1):
-        tail = 3 * 2**((n - 4) // 4)
-    else:
-        tail = 2**((n + 2) // 4)
-    return rotations + 2**((n - 3) // 2) - tail
+    return _polygon_count(n, _rotation_sum(n), cyclic=False)
+
+
+def polygon_values(start: int, end: int, cyclic: bool = False) -> Iterator[int]:
+    """Yield count_polygons(n), or count_polygons_cyclic(n) if cyclic, for
+    n = start..end.
+
+    The same closed form, evaluated as one run for callers that need every
+    term: the divisors of all n in the range come from one sieve, which
+    appends each d <= sqrt(end) to its multiples n >= max(start, d^2); the
+    cofactors n / d complete each list.
+    """
+    if start < 3:
+        raise ValueError(f"perimeter must be at least 3, got {start}")
+    small = [[] for _ in range(start, end + 1)]  # the divisors d <= sqrt(n) of n = end..start
+    for d in range(1, isqrt(end) + 1):
+        for n in range(max(d * d, -(-start // d) * d), end + 1, d):
+            small[end - n].append(d)
+    for n in range(start, end + 1):
+        below = small.pop()  # dropped once used, so that the sieve shrinks as the run goes
+        divs = below + [n // d for d in below if d * d != n]
+        yield _polygon_count(n, _rotation_sum(n, divs=divs), cyclic)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +238,7 @@ def count_polygons_cyclic(n: int) -> int:
     """Integer polygons with perimeter n, inequivalent up to rotation only."""
     if n < 3:
         raise ValueError(f"perimeter must be at least 3, got {n}")
-    return _exact_div(_rotation_sum(n), n, f"cyclic rotation sum (n={n})") - 1 - 2**(n // 2)
+    return _polygon_count(n, _rotation_sum(n), cyclic=True)
 
 
 # ---------------------------------------------------------------------------

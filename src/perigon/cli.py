@@ -1,7 +1,8 @@
 """Command-line front end: single counts, tables, b-files, verification, timing.
 
 Exit codes: 0 on success (and on a fully agreeing verify run), 1 when a
-verification cross-check disagrees, 2 for usage or range errors.
+verification cross-check disagrees, 2 for usage or range errors, 141 when
+the reader closes standard output before the command has written it all.
 
 Start-up is part of every command's cost, so a standard-library module that
 only some commands use (decimal, hashlib, json, random) is imported inside
@@ -24,17 +25,22 @@ VERIFY_SCHEMA = "perigon-verify/1"
 EXIT_OK = 0
 EXIT_DISAGREE = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process a closed pipe stopped
 
 DEFAULT_SEED = 1729
 
-# b-file families: value(n, m), looking the census function up at call time
+# b-file families: values(start, end, m), the run of terms for n = start..end,
+# looking the census function up at call time
 FAMILIES = {
-    "pmn": lambda n, m: census.count_mgons(n, m),
-    "pn": lambda n, m: census.count_polygons(n),
-    "pmn-cyclic": lambda n, m: census.count_mgons_cyclic(n, m),
-    "pn-cyclic": lambda n, m: census.count_polygons_cyclic(n),
-    "triangles-nearest": lambda n, m: census.triangles_nearest(n),
-    "quadrilaterals-nearest": lambda n, m: census.quadrilaterals_nearest(n),
+    "pmn": lambda start, end, m: (census.count_mgons(n, m) for n in range(start, end + 1)),
+    "pn": lambda start, end, m: census.polygon_values(start, end),
+    "pmn-cyclic": lambda start, end, m: (census.count_mgons_cyclic(n, m)
+                                         for n in range(start, end + 1)),
+    "pn-cyclic": lambda start, end, m: census.polygon_values(start, end, cyclic=True),
+    "triangles-nearest": lambda start, end, m: map(census.triangles_nearest,
+                                                   range(start, end + 1)),
+    "quadrilaterals-nearest": lambda start, end, m: map(census.quadrilaterals_nearest,
+                                                        range(start, end + 1)),
 }
 
 
@@ -168,10 +174,9 @@ def _table_rows(max_n: int) -> list[list[str]]:
     ns = range(3, max_n + 1)
     triangle = [[str(m)] + [""] * (m - 3) for m in ns]
     totals = ["total"]
-    for n, column in census.mgon_columns(max_n):
+    for (n, column), total in zip(census.mgon_columns(max_n), census.polygon_values(3, max_n)):
         for row, value in zip(triangle, column):
             row.append(str(value))
-        total = census.count_polygons(n)
         if sum(column) != total:  # sum over m of p(m, n) is p(n)
             raise census.InternalError(f"the m-gon counts at perimeter {n} sum to "
                                        f"{sum(column)}, not p({n}) = {total}")
@@ -215,10 +220,9 @@ def cmd_bfile(args: argparse.Namespace) -> int:
                        f"for family {args.family}")
     if args.end < start:
         raise CliError(f"--end {args.end} is below --start {start}")
-    value = FAMILIES[args.family]
+    values = FAMILIES[args.family](start, args.end, args.m)
     base = args.offset if args.offset is not None else start
-    text = "".join(f"{base + i} {_fmt_count(value(n, args.m))}\n"
-                   for i, n in enumerate(range(start, args.end + 1)))
+    text = "".join(f"{i} {_fmt_count(v)}\n" for i, v in enumerate(values, base))
     if args.out:
         with open(args.out, "w") as out:
             out.write(text)
@@ -411,10 +415,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits on usage errors; surface the code
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader stopped early: exit quietly, with stdout pointed at the
+        # null device so that the interpreter's exit-time flush cannot fail again
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -64,8 +64,10 @@ def test_closed_forms_equal_burnside_assembly():
     routes = ((GroupKind.DIHEDRAL, census.count_polygons, census.count_mgons),
               (GroupKind.CYCLIC, census.count_polygons_cyclic, census.count_mgons_cyclic))
     for group, polygons, mgons in routes:
-        for n in range(3, 201):
+        # the shifted powers of two at large n, in every residue of n mod 4
+        for n in (*range(3, 201), *range(10**5, 10**5 + 4)):
             assert polygons(n) == census.count_polygons_via_burnside(n, group)
+        for n in range(3, 201):
             for m in range(3, n + 1):
                 assert mgons(n, m) == census.count_mgons_via_burnside(n, m, group)
     # the per-perimeter evaluation, cell by cell, over every n mod 4 and both parities of m
@@ -78,6 +80,24 @@ def test_closed_forms_equal_burnside_assembly():
     for k in (3, 4, 5, 6):
         assert list(census.mgon_columns(k)) == list(columns.items())[:k - 2]
     assert list(census.mgon_columns(2)) == []
+
+
+def test_polygon_values_equal_single_counts():
+    # one run over every residue of n mod 4, against the one-term functions
+    assert list(census.polygon_values(3, 1000)) == \
+        [census.count_polygons(n) for n in range(3, 1001)]
+    assert list(census.polygon_values(3, 1000, cyclic=True)) == \
+        [census.count_polygons_cyclic(n) for n in range(3, 1001)]
+    for cyclic, single in ((False, census.count_polygons), (True, census.count_polygons_cyclic)):
+        for start, end in ((3, 3), (4, 4), (97, 97), (500, 500), (17, 40), (64, 100)):
+            assert list(census.polygon_values(start, end, cyclic)) == \
+                [single(n) for n in range(start, end + 1)], (start, end, cyclic)
+        assert list(census.polygon_values(10, 9, cyclic)) == []
+        with pytest.raises(ValueError) as single_error:
+            single(2)
+        with pytest.raises(ValueError) as run_error:
+            list(census.polygon_values(2, 10, cyclic))
+        assert str(run_error.value) == str(single_error.value)
 
 
 def test_row_sums_recover_polygon_count():

@@ -142,8 +142,9 @@ def test_table_matches_cell_by_cell_census(capsys, max_n):
 
 
 def test_table_checks_row_sums(capsys, monkeypatch):
-    polygons = census.count_polygons
-    monkeypatch.setattr(census, "count_polygons", lambda n: polygons(n) + (n == 9))
+    polygons = census.polygon_values
+    monkeypatch.setattr(census, "polygon_values", lambda start, end: (
+        v + (n == 9) for n, v in enumerate(polygons(start, end), start)))
     with pytest.raises(census.InternalError, match="perimeter 9"):
         cli.main(["table", "--max-n", "12", "--format", "csv"])
 
@@ -184,25 +185,25 @@ def test_bfile_offset_override(capsys):
 
 
 def test_bfile_matches_census_values(capsys):
+    # (family, extra arguments, first n, first printed index) -> the single-term function
     families = {
-        ("pmn", 5): lambda n: census.count_mgons(n, 5),
-        ("pn", None): census.count_polygons,
-        ("pmn-cyclic", 3): lambda n: census.count_mgons_cyclic(n, 3),
-        ("pn-cyclic", None): census.count_polygons_cyclic,
-        ("triangles-nearest", None): census.triangles_nearest,
-        ("quadrilaterals-nearest", None): census.quadrilaterals_nearest,
+        ("pmn", ("--m", "5"), 5, 5): lambda n: census.count_mgons(n, 5),
+        ("pn", (), 3, 3): census.count_polygons,
+        ("pn", ("--start", "17", "--offset", "1"), 17, 1): census.count_polygons,
+        ("pmn-cyclic", ("--m", "3"), 3, 3): lambda n: census.count_mgons_cyclic(n, 3),
+        ("pn-cyclic", (), 3, 3): census.count_polygons_cyclic,
+        ("pn-cyclic", ("--start", "17", "--offset", "1"), 17, 1): census.count_polygons_cyclic,
+        ("triangles-nearest", (), 1, 1): census.triangles_nearest,
+        ("quadrilaterals-nearest", (), 1, 1): census.quadrilaterals_nearest,
     }
-    for (family, m), value_fn in families.items():
-        argv = ["bfile", "--family", family, "--end", "30"]
-        if m is not None:
-            argv += ["--m", str(m)]
-        code, out, _ = run(capsys, *argv)
+    for (family, extra, first, base), value_fn in families.items():
+        code, out, _ = run(capsys, "bfile", "--family", family, "--end", "30", *extra)
         assert code == 0
         lines = out.splitlines()
-        assert lines, family
-        for line in lines:
-            n, value = map(int, line.split())
-            assert value == value_fn(n), (family, n)
+        assert len(lines) == 31 - first, (family, extra)
+        for n, line in enumerate(lines, first):
+            index, value = map(int, line.split())
+            assert index == n - first + base and value == value_fn(n), (family, extra, n)
 
 
 def test_bfile_to_file_and_byte_stable(tmp_path, capsys):
@@ -423,6 +424,22 @@ def test_decimal_path_matches_str(unlimited_int_str):
 def test_huge_count_prints_its_decimal_value(capsys, unlimited_int_str):
     code, out, _ = run(capsys, "count", "--n", "200000")
     assert code == 0 and out == str(census.count_polygons(200000)) + "\n"
+
+
+def test_closed_pipe_exits_quietly():
+    # the reader takes one line and closes the pipe while the command still
+    # has output to write: no traceback, and the status a shell gives SIGPIPE
+    env = dict(os.environ, PYTHONPATH=str(Path(perigon.__file__).resolve().parents[1]))
+    for argv in (("table", "--max-n", "200"), ("verify", "--max-n", "10")):
+        # unbuffered, so that reading the line takes no more than it from the pipe
+        proc = subprocess.Popen([sys.executable, "-m", "perigon", *argv], env=env, bufsize=0,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141, argv
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert "Traceback" not in err, (argv, err)
 
 
 # ---------------------------------------------------------------------------
