@@ -7,21 +7,22 @@ fixed-set sizes over the group, weighting each class by its size from
 regression-tested against — a transcription slip in any mod-4 branch
 shows up as a mismatch.
 
-Only the closed forms use `_rotation_sum`; the assembly route sums the
-rotation classes' `fixcount` values itself on purpose, which keeps the two
-routes independent.  Two closed forms also come as runs over a range:
+Only the m-gon closed forms use `_rotation_sum`; the assembly route sums
+the rotation classes' `fixcount` values itself on purpose, which keeps the
+two routes independent.  Two closed forms also come as runs over a range.
+`polygon_values` is the one evaluation of the polygon closed form, over
+n = start..end with the divisors of every n from one sieve;
+`count_polygons` and `count_polygons_cyclic` read a run of one n.
 `mgon_columns` is the m-gon closed form evaluated one perimeter at a time,
-from Pascal's triangle, with its own rotation accumulation, and
-`polygon_values` is the polygon closed form over n = start..end, with the
-divisors of every n from one sieve.  The command picks the shape (`table`
-needs every cell and reads columns, the polygon b-files need every term,
-`count` and `bench` need one value, which may be far too large for Pascal
-rows or a sieve up to n).  A test ties each run to its single-value
-function: tests/test_census.py::test_closed_forms_equal_burnside_assembly
+from Pascal's triangle, with its own rotation accumulation; `count_mgons`
+stays the single-cell function, since one cell may be far too large for
+Pascal rows.  The command picks the shape (`table` needs every cell and
+reads columns, the polygon b-files read one run).  Tests tie each run to
+the assembly route: tests/test_census.py::test_closed_forms_equal_burnside_assembly
 checks `mgon_columns` against `count_mgons` and the assembly route cell by
 cell for n <= 200, tests/test_census.py::test_polygon_values_equal_single_counts
-checks `polygon_values` against `count_polygons` and `count_polygons_cyclic`
-for n <= 1000, and tests/test_cli.py::test_table_matches_cell_by_cell_census
+checks `polygon_values` against the assembly route for n <= 1000 and
+against runs of one n, and tests/test_cli.py::test_table_matches_cell_by_cell_census
 ties the printed table to `count_mgons`.  Every route's m-gon count is 0
 outside 3 <= m <= n.
 
@@ -77,15 +78,10 @@ def _exact_div(num: int, den: int, what: str) -> int:
 # closed forms
 
 
-def _rotation_sum(n: int, m: int | None = None, divs: list[int] | None = None) -> int:
-    """Sum over the rotations of phi(d) times the tuples fixed by one of order d:
-    2^(n/d) over d | n, or C(n/d, m/d) over d | gcd(n, m) when m is given.
-    divs, if given, are those divisors, taken from a caller's sieve."""
-    if divs is None:
-        divs = divisors(n if m is None else gcd(m, n))
-    if m is None:
-        return sum(totient(d) << (n // d) for d in divs)
-    return sum(totient(d) * binomial(n // d, m // d) for d in divs)
+def _rotation_sum(n: int, m: int) -> int:
+    """Sum over the rotations of phi(d) times the m-subsets fixed by one of
+    order d: C(n/d, m/d) over d | gcd(n, m)."""
+    return sum(totient(d) * binomial(n // d, m // d) for d in divisors(gcd(m, n)))
 
 
 def count_mgons(n: int, m: int) -> int:
@@ -151,45 +147,45 @@ def mgon_columns(max_n: int) -> Iterator[tuple[int, list[int]]]:
         yield n, column
 
 
-def _polygon_count(n: int, rotations: int, cyclic: bool) -> int:
-    """The polygon count at perimeter n >= 3 from its rotation sum: the exact
-    division by the group order (2n, or n if cyclic), then the tail terms."""
-    if cyclic:
-        return _exact_div(rotations, n, f"cyclic rotation sum (n={n})") - 1 - (1 << (n // 2))
-    if n % 4 in (0, 1):
-        tail = 3 << ((n - 4) // 4)
-    else:
-        tail = 1 << ((n + 2) // 4)
-    return (_exact_div(rotations, 2 * n, f"polygon rotation sum (n={n})")
-            + (1 << ((n - 3) // 2)) - tail)
-
-
 def count_polygons(n: int) -> int:
     """Inequivalent integer polygons (any number of sides) with perimeter n."""
-    if n < 3:
-        raise ValueError(f"perimeter must be at least 3, got {n}")
-    return _polygon_count(n, _rotation_sum(n), cyclic=False)
+    return next(polygon_values(n, n))
 
 
 def polygon_values(start: int, end: int, cyclic: bool = False) -> Iterator[int]:
-    """Yield count_polygons(n), or count_polygons_cyclic(n) if cyclic, for
-    n = start..end.
+    """Return the run of count_polygons(n), or count_polygons_cyclic(n) if
+    cyclic, for n = start..end; the run is empty when end < start.
 
-    The same closed form, evaluated as one run for callers that need every
-    term: the divisors of all n in the range come from one sieve, which
-    appends each d <= sqrt(end) to its multiples n >= max(start, d^2); the
-    cofactors n / d complete each list.
+    The one evaluation of the polygon closed form; start is checked at the
+    call, not when the run is first read.  The divisors of all n in the run
+    come from one sieve, which appends each d <= sqrt(end) to its multiples
+    n >= max(start, d^2); the cofactors n / d complete each list.  A d with
+    no multiple in the run costs one remainder, so a run of one n costs
+    about what trial division does.
     """
     if start < 3:
         raise ValueError(f"perimeter must be at least 3, got {start}")
+    return _polygon_run(start, max(end, start - 1), cyclic)
+
+
+def _polygon_run(start: int, end: int, cyclic: bool) -> Iterator[int]:
     small = [[] for _ in range(start, end + 1)]  # the divisors d <= sqrt(n) of n = end..start
+    width = end - start
     for d in range(1, isqrt(end) + 1):
-        for n in range(max(d * d, -(-start // d) * d), end + 1, d):
-            small[end - n].append(d)
+        if end % d <= width:  # some multiple of d lies in start..end
+            for n in range(max(d * d, -(-start // d) * d), end + 1, d):
+                small[end - n].append(d)
     for n in range(start, end + 1):
         below = small.pop()  # dropped once used, so that the sieve shrinks as the run goes
-        divs = below + [n // d for d in below if d * d != n]
-        yield _polygon_count(n, _rotation_sum(n, divs=divs), cyclic)
+        # phi(d) 2^(n/d) over d | n, divided exactly by the group order, then the tails
+        rotations = sum(totient(d) << (n // d)
+                        for d in below + [n // d for d in below if d * d != n])
+        if cyclic:
+            yield _exact_div(rotations, n, f"cyclic rotation sum (n={n})") - 1 - (1 << (n // 2))
+            continue
+        tail = 3 << ((n - 4) // 4) if n % 4 in (0, 1) else 1 << ((n + 2) // 4)
+        yield (_exact_div(rotations, 2 * n, f"polygon rotation sum (n={n})")
+               + (1 << ((n - 3) // 2)) - tail)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +232,7 @@ def count_mgons_cyclic(n: int, m: int) -> int:
 
 def count_polygons_cyclic(n: int) -> int:
     """Integer polygons with perimeter n, inequivalent up to rotation only."""
-    if n < 3:
-        raise ValueError(f"perimeter must be at least 3, got {n}")
-    return _polygon_count(n, _rotation_sum(n), cyclic=True)
+    return next(polygon_values(n, n, cyclic=True))
 
 
 # ---------------------------------------------------------------------------

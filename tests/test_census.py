@@ -83,20 +83,24 @@ def test_closed_forms_equal_burnside_assembly():
 
 
 def test_polygon_values_equal_single_counts():
-    # one run over every residue of n mod 4, against the one-term functions
-    assert list(census.polygon_values(3, 1000)) == \
-        [census.count_polygons(n) for n in range(3, 1001)]
-    assert list(census.polygon_values(3, 1000, cyclic=True)) == \
-        [census.count_polygons_cyclic(n) for n in range(3, 1001)]
-    for cyclic, single in ((False, census.count_polygons), (True, census.count_polygons_cyclic)):
+    # one run over every residue of n mod 4, against the assembly route and
+    # against runs of one n, whose sieve has one divisor list to fill
+    routes = ((GroupKind.DIHEDRAL, census.count_polygons),
+              (GroupKind.CYCLIC, census.count_polygons_cyclic))
+    for group, single in routes:
+        cyclic = group is GroupKind.CYCLIC
+        run = list(census.polygon_values(3, 1000, cyclic))
+        assert run == [census.count_polygons_via_burnside(n, group) for n in range(3, 1001)]
+        assert run == [single(n) for n in range(3, 1001)]
         for start, end in ((3, 3), (4, 4), (97, 97), (500, 500), (17, 40), (64, 100)):
-            assert list(census.polygon_values(start, end, cyclic)) == \
-                [single(n) for n in range(start, end + 1)], (start, end, cyclic)
+            assert list(census.polygon_values(start, end, cyclic)) == run[start - 3:end - 2], \
+                (start, end, cyclic)
         assert list(census.polygon_values(10, 9, cyclic)) == []
+        assert list(census.polygon_values(3, -5, cyclic)) == []
         with pytest.raises(ValueError) as single_error:
             single(2)
         with pytest.raises(ValueError) as run_error:
-            list(census.polygon_values(2, 10, cyclic))
+            census.polygon_values(2, 10, cyclic)
         assert str(run_error.value) == str(single_error.value)
 
 
