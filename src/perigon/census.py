@@ -12,7 +12,9 @@ the rotation classes' `fixcount` values itself on purpose, which keeps the
 two routes independent.  Two closed forms also come as runs over a range.
 `polygon_values` is the one evaluation of the polygon closed form, over
 n = start..end with the divisors of every n from one sieve;
-`count_polygons` and `count_polygons_cyclic` read a run of one n.
+`count_polygons` and `count_polygons_cyclic` read a run of one n, and so
+does `polygon_decimal`, with every power of two built in exact decimal
+arithmetic so that a huge count prints without a base conversion.
 `mgon_columns` is the m-gon closed form evaluated one perimeter at a time,
 from Pascal's triangle, with its own rotation accumulation; `count_mgons`
 stays the single-cell function, since one cell may be far too large for
@@ -22,7 +24,9 @@ the assembly route: tests/test_census.py::test_closed_forms_equal_burnside_assem
 checks `mgon_columns` against `count_mgons` and the assembly route cell by
 cell for n <= 200, tests/test_census.py::test_polygon_values_equal_single_counts
 checks `polygon_values` against the assembly route for n <= 1000 and
-against runs of one n, and tests/test_cli.py::test_table_matches_cell_by_cell_census
+against runs of one n, tests/test_census.py::test_polygon_decimal_equals_int_counts
+checks `polygon_decimal` against the int run up to n = 10^5 + 3, and
+tests/test_cli.py::test_table_matches_cell_by_cell_census
 ties the printed table to `count_mgons`.  Every route's m-gon count is 0
 outside 3 <= m <= n.
 
@@ -42,6 +46,7 @@ from .numtheory import _nearest_quotient, binomial, divisors, totient
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
 if TYPE_CHECKING:
     from collections.abc import Iterator
+    from decimal import Decimal
     from fractions import Fraction
 
 __all__ = [
@@ -56,6 +61,7 @@ __all__ = [
     "count_polygons_cyclic",
     "count_polygons_via_burnside",
     "mgon_columns",
+    "polygon_decimal",
     "polygon_values",
     "quadrilaterals_nearest",
     "quadrilaterals_piecewise",
@@ -67,11 +73,28 @@ class InternalError(RuntimeError):
     """An exactness self-check failed: a defect in the formulas, never bad input."""
 
 
-def _exact_div(num: int, den: int, what: str) -> int:
+def _exact_div(num, den: int, what: str):
+    """num // den for an int or integral Decimal num, checked to be exact.
+
+    The message gives the numerator's size, not its value: a value of more
+    than 4,300 digits would trip the int-to-str limit in place of this error.
+    """
     q, r = divmod(num, den)
     if r:
-        raise InternalError(f"{what} = {num} is not divisible by {den}")
+        size = (f"{num.bit_length()} bits" if isinstance(num, int)
+                else f"{num.adjusted() + 1} digits")
+        raise InternalError(f"{what} ({size}) leaves remainder {r} modulo {den}")
     return q
+
+
+def _exact_context():
+    """A decimal context for integer arithmetic that never rounds: any
+    inexact, invalid or division-by-zero result raises."""
+    import decimal
+
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                           traps=[decimal.Inexact, decimal.InvalidOperation,
+                                  decimal.DivisionByZero])
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +188,37 @@ def polygon_values(start: int, end: int, cyclic: bool = False) -> Iterator[int]:
     """
     if start < 3:
         raise ValueError(f"perimeter must be at least 3, got {start}")
-    return _polygon_run(start, max(end, start - 1), cyclic)
+    return _polygon_run(start, max(end, start - 1), cyclic, (1).__lshift__)
 
 
-def _polygon_run(start: int, end: int, cyclic: bool) -> Iterator[int]:
+def polygon_decimal(n: int, cyclic: bool = False) -> Decimal:
+    """count_polygons(n), or count_polygons_cyclic(n) if cyclic, as an exact
+    decimal.Decimal whose str() is the count's decimal text.
+
+    A run of one n with every power of two built in exact decimal
+    arithmetic, so a huge count is printed without an int-to-decimal
+    conversion.  The powers are memoised for this one call only (the
+    cyclic count of an even n reads 2^(n/2) twice).
+    """
+    import decimal
+
+    if n < 3:
+        raise ValueError(f"perimeter must be at least 3, got {n}")
+    exact = _exact_context()
+    powers: dict[int, Decimal] = {}
+
+    def power(k: int) -> Decimal:
+        if k not in powers:
+            powers[k] = exact.power(2, k)
+        return powers[k]
+
+    with decimal.localcontext(exact):
+        return next(_polygon_run(n, n, cyclic, power))
+
+
+def _polygon_run(start: int, end: int, cyclic: bool, power) -> Iterator:
+    """The run for n = start..end, with 2^k read from power(k): an int or an
+    exact Decimal, as the caller chooses."""
     small = [[] for _ in range(start, end + 1)]  # the divisors d <= sqrt(n) of n = end..start
     width = end - start
     for d in range(1, isqrt(end) + 1):
@@ -178,14 +228,14 @@ def _polygon_run(start: int, end: int, cyclic: bool) -> Iterator[int]:
     for n in range(start, end + 1):
         below = small.pop()  # dropped once used, so that the sieve shrinks as the run goes
         # phi(d) 2^(n/d) over d | n, divided exactly by the group order, then the tails
-        rotations = sum(totient(d) << (n // d)
+        rotations = sum(totient(d) * power(n // d)
                         for d in below + [n // d for d in below if d * d != n])
         if cyclic:
-            yield _exact_div(rotations, n, f"cyclic rotation sum (n={n})") - 1 - (1 << (n // 2))
+            yield _exact_div(rotations, n, f"cyclic rotation sum (n={n})") - 1 - power(n // 2)
             continue
-        tail = 3 << ((n - 4) // 4) if n % 4 in (0, 1) else 1 << ((n + 2) // 4)
+        tail = 3 * power((n - 4) // 4) if n % 4 in (0, 1) else power((n + 2) // 4)
         yield (_exact_div(rotations, 2 * n, f"polygon rotation sum (n={n})")
-               + (1 << ((n - 3) // 2)) - tail)
+               + power((n - 3) // 2) - tail)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from itertools import islice
 
 from . import census, fixcount, model, oracle
 
@@ -59,6 +60,21 @@ _LOG10_2_SHIFT = 144
 _LOG10_2 = 6713193230417222942720793591814765458232150
 
 
+def _power5_bounds(k: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2^e <= 5^k <= hi * 2^e, where lo and hi keep the
+    top 128 bits of 5^k: binary powering with every product cut to 128 bits,
+    rounded down for lo and up for hi.  About log2 k small multiplies."""
+    lo = hi = 1
+    e = 0
+    for bit in bin(k)[2:]:
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        if bit == "1":
+            lo, hi = 5 * lo, 5 * hi
+        s = max(hi.bit_length() - 128, 0)
+        lo, hi, e = lo >> s, -(-hi >> s), e + s
+    return lo, hi, e
+
+
 def _decimal_digits(v: int) -> int:
     """Digit count without converting to a decimal string (cheap for huge v)."""
     v = abs(v)
@@ -66,7 +82,13 @@ def _decimal_digits(v: int) -> int:
         return 1
     # 2^(b-1) <= v < 2^b puts the digit count at k or k + 1; v >= 10^k iff v >> k >= 5^k
     k = (v.bit_length() * _LOG10_2) >> _LOG10_2_SHIFT
-    return k + 1 if (v >> k) >= 5**k else k
+    lo, hi, e = _power5_bounds(k)
+    top = (v >> k) >> e
+    if top >= hi:
+        return k + 1
+    if top < lo:
+        return k
+    return k + 1 if (v >> k) >= 5**k else k  # v's top bits fall between the bounds
 
 
 # str(int) is quadratic on CPython before 3.12; above this many bits the
@@ -82,8 +104,7 @@ def _decimal_text(v: int) -> str:
     CPython 3.12's Lib/_pylong.py)."""
     import decimal
 
-    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                            traps=[decimal.Inexact])
+    exact = census._exact_context()
     powers: dict[int, decimal.Decimal] = {}  # 2^w for the widths of this one call
 
     def power(w: int) -> decimal.Decimal:
@@ -107,21 +128,31 @@ def _decimal_text(v: int) -> str:
     return str(convert(v, v.bit_length()))
 
 
-def _fmt_count(v: int) -> str:
-    """Decimal text of a count (v >= 0).  Large counts, and any that str()
-    would refuse under the interpreter's int-to-str digit limit, take the
-    decimal path."""
+def _decimal_path(bits: int) -> bool:
+    """Whether an int of this many bits is printed through decimal arithmetic:
+    a large one, or one that str() would refuse under the interpreter's
+    int-to-str digit limit."""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    bits = v.bit_length()
     # 10^limit > 2^(3 limit), so str() accepts every int of at most 3 limit bits
-    if bits > _DECIMAL_FROM_BITS or 0 < 3 * limit < bits:
-        return _decimal_text(v)
-    return str(v)
+    return bits > _DECIMAL_FROM_BITS or 0 < 3 * limit < bits
 
 
-def _evaluate_count(n: int, m: int | None, cyclic: bool, method: str) -> int:
+def _fmt_count(v) -> str:
+    """Decimal text of a count (v >= 0): an int, or a Decimal that
+    census.polygon_decimal built exactly."""
+    if not isinstance(v, int) or not _decimal_path(v.bit_length()):
+        return str(v)
+    return _decimal_text(v)
+
+
+def _evaluate_count(n: int, m: int | None, cyclic: bool, method: str):
+    """The count by one route: an int, or a Decimal for a closed-form
+    polygon count when n passes _decimal_path (the count has fewer than n
+    bits, so every count that would take the decimal path does)."""
     if method == "closed":
         if m is None:
+            if _decimal_path(n):
+                return census.polygon_decimal(n, cyclic)
             return census.count_polygons_cyclic(n) if cyclic else census.count_polygons(n)
         return census.count_mgons_cyclic(n, m) if cyclic else census.count_mgons(n, m)
     group = model.GroupKind.CYCLIC if cyclic else model.GroupKind.DIHEDRAL
@@ -222,13 +253,23 @@ def cmd_bfile(args: argparse.Namespace) -> int:
         raise CliError(f"--end {args.end} is below --start {start}")
     values = FAMILIES[args.family](start, args.end, args.m)
     base = args.offset if args.offset is not None else start
-    text = "".join(f"{i} {_fmt_count(v)}\n" for i, v in enumerate(values, base))
+    lines = (f"{i} {_fmt_count(v)}\n" for i, v in enumerate(values, base))
     if args.out:
         with open(args.out, "w") as out:
-            out.write(text)
+            _write_batches(out, lines)
     else:
-        sys.stdout.write(text)
+        _write_batches(sys.stdout, lines)
     return EXIT_OK
+
+
+_BFILE_BATCH_LINES = 1024
+
+
+def _write_batches(out, lines) -> None:
+    """Write the lines a batch at a time, so that no more than one batch of
+    the text is held at once."""
+    while batch := "".join(islice(lines, _BFILE_BATCH_LINES)):
+        out.write(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +283,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     max_n = args.max_n
     if max_n < 3:
         raise CliError(f"--max-n must be at least 3, got {max_n}")
+    if args.probes < 0:
+        raise CliError(f"--probes must not be negative, got {args.probes}")
     if max_n > oracle.ORACLE_MAX_N:
         raise CliError(f"--max-n {max_n} exceeds the oracle bound {oracle.ORACLE_MAX_N}")
 

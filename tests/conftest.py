@@ -1,6 +1,22 @@
+import sys
+
 import pytest
 
 _acceptance_results = {}
+
+
+@pytest.fixture
+def unlimited_int_str():
+    """Lift the int-to-str digit limit for one test, so str() can be the reference."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.hookimpl(hookwrapper=True)

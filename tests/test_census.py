@@ -104,6 +104,36 @@ def test_polygon_values_equal_single_counts():
         assert str(run_error.value) == str(single_error.value)
 
 
+def test_polygon_decimal_equals_int_counts(unlimited_int_str):
+    # the same run in exact decimal: below, at and above 2^15 bits, in every
+    # residue of n mod 4, under both groups
+    for cyclic, single in ((False, census.count_polygons), (True, census.count_polygons_cyclic)):
+        for n in (*range(3, 60), *range(2**15, 2**15 + 4), *range(10**5, 10**5 + 4)):
+            assert str(census.polygon_decimal(n, cyclic)) == str(single(n)), (n, cyclic)
+        with pytest.raises(ValueError, match="at least 3"):
+            census.polygon_decimal(2, cyclic)
+
+
+def test_skewed_totient_fails_both_polygon_routes(monkeypatch):
+    # phi(2) = 2 adds 2^(n/2) to the rotation sum of an even n, which the
+    # group order does not divide: both number types must stop, not round
+    real = census.totient
+    monkeypatch.setattr(census, "totient", lambda d: real(d) + (d == 2))
+    for n in (20, 40_000):
+        with pytest.raises(census.InternalError, match=rf"polygon rotation sum \(n={n}\) \(\d+ bits\)"):
+            census.count_polygons(n)
+        with pytest.raises(census.InternalError, match=rf"\(n={n}\) \(\d+ digits\)"):
+            census.polygon_decimal(n)
+        with pytest.raises(census.InternalError, match=rf"cyclic rotation sum \(n={n}\)"):
+            census.polygon_decimal(n, cyclic=True)
+
+
+def test_exact_div_reports_the_size_not_the_value():
+    # a numerator past the int-to-str digit limit must not mask the self-check
+    with pytest.raises(census.InternalError, match=r"x \(20001 bits\) leaves remainder 1 modulo 2"):
+        census._exact_div((1 << 20000) | 1, 2, "x")
+
+
 def test_row_sums_recover_polygon_count():
     for n in range(3, 201):
         assert sum(census.count_mgons(n, m) for m in range(3, n + 1)) == \

@@ -76,6 +76,34 @@ def test_count_json_report(capsys):
     assert report["agreement"] is None
 
 
+def test_count_decimal_route_at_thresholds(capsys, monkeypatch, unlimited_int_str):
+    # a closed-form polygon count is built in decimal exactly when n passes
+    # _decimal_path, the bit-length test of _fmt_count: above 2^15, and above
+    # 3 x the int-to-str digit limit (4,300 by default) when one is set
+    real = census.polygon_decimal
+    built = []
+    monkeypatch.setattr(census, "polygon_decimal",
+                        lambda n, cyclic=False: built.append(n) or real(n, cyclic))
+    cases = [(0, cli._DECIMAL_FROM_BITS + d) for d in (-1, 0, 1)]
+    if hasattr(sys, "set_int_max_str_digits"):
+        cases += [(4300, 3 * 4300 + d) for d in (-1, 0, 1)]
+    for limit, n in cases:
+        expected = str(census.count_polygons(n))
+        if limit:
+            sys.set_int_max_str_digits(limit)
+        try:
+            built.clear()
+            code, out, _ = run(capsys, "count", "--n", str(n))
+            assert code == 0 and out == expected + "\n", n
+            code, out, _ = run(capsys, "count", "--n", str(n), "--format", "json")
+            assert code == 0 and json.loads(out)["value"] == expected, n
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(0)
+        threshold = 3 * limit if limit else cli._DECIMAL_FROM_BITS
+        assert built == ([n, n] if n > threshold else []), (limit, n)
+
+
 def test_count_unknown_flag(capsys):
     assert run(capsys, "count", "--bogus")[0] == 2
 
@@ -217,6 +245,22 @@ def test_bfile_to_file_and_byte_stable(tmp_path, capsys):
     assert first.decode().splitlines()[0] == "3 1"
 
 
+def test_bfile_batches_keep_the_bytes(tmp_path, capsys):
+    # runs that end inside the second and third batch of lines, to stdout and to --out
+    for family, end, value in (("pn", 1030, census.count_polygons),
+                               ("triangles-nearest", 2 * cli._BFILE_BATCH_LINES + 7,
+                                census.triangles_nearest)):
+        first = 1 if family.endswith("-nearest") else 3
+        expected = "".join(f"{n} {value(n)}\n" for n in range(first, end + 1))
+        assert end - first + 1 > cli._BFILE_BATCH_LINES
+        code, out, _ = run(capsys, "bfile", "--family", family, "--end", str(end))
+        assert code == 0 and out == expected
+        path = tmp_path / f"{family}.txt"
+        code, out, _ = run(capsys, "bfile", "--family", family, "--end", str(end),
+                           "--out", str(path))
+        assert code == 0 and out == "" and path.read_bytes() == expected.encode()
+
+
 def test_bfile_range_errors(capsys):
     assert run(capsys, "bfile", "--family", "pmn", "--end", "8")[0] == 2  # missing --m
     assert run(capsys, "bfile", "--family", "pn", "--m", "4", "--end", "8")[0] == 2
@@ -264,6 +308,13 @@ def test_verify_census_record_order(capsys):
                      (n, m, "mgons", ["closed-form", "oracle"]),
                      (n, m, "mgons-cyclic", ["closed-form", "oracle"])]
     assert [(c["n"], c["m"], c["subject"], c["pair"]) for c in records] == want
+
+
+def test_verify_rejects_negative_probes(capsys):
+    code, out, err = run(capsys, "verify", "--max-n", "5", "--probes", "-3")
+    assert code == 2 and out == "" and "--probes" in err
+    code, out, _ = run(capsys, "verify", "--max-n", "5", "--probes", "0")
+    assert code == 0 and json.loads(out)["all_agree"] is True
 
 
 def test_verify_rejects_beyond_oracle_bound(capsys):
@@ -354,20 +405,6 @@ def test_huge_counts_leave_int_str_limit_alone(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
-@pytest.fixture
-def unlimited_int_str():
-    """Lift the int-to-str digit limit for one test, so str() can be the reference."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def _floor_log10_2_misses():
     """Bit lengths b below 10^5 where b * 30103 // 100000 overshoots floor(b log10 2)."""
     alpha = Fraction(decimal.Context(prec=60).log10(2))
@@ -384,6 +421,34 @@ def test_decimal_digits_matches_str(unlimited_int_str):
         values += [2**(b - 1), 2**b - 1, 2**(b - 2), 2**(b - 1) - 1]
     for v in values:
         assert cli._decimal_digits(v) == len(str(v)), v
+
+
+def test_power5_bounds_enclose_powers_of_five():
+    power = 1
+    for k in range(1, 2001):
+        power *= 5
+        lo, hi, e = cli._power5_bounds(k)
+        assert lo << e <= power <= hi << e, k
+        # at most about 2^(log2 k) apart, out of 128 bits: the fallback is rare
+        assert hi.bit_length() <= 129 and hi - lo < 1 << k.bit_length(), k
+    for k in (4_300, 30_103, 65_536, 99_991, 299_999, 10**6):
+        lo, hi, e = cli._power5_bounds(k)
+        assert lo << e <= 5**k <= hi << e, k
+
+
+def test_decimal_digits_falls_back_inside_the_bounds(unlimited_int_str):
+    # 10^k - 1, 10^k and 10^k + 1 put v's top bits between the bounds, so the
+    # exact comparison decides; just outside the bounds, the bounds decide alone
+    for k in (60, 100, 1000, 4301, 30_103, 100_000):
+        lo, hi, e = cli._power5_bounds(k)
+        assert e > 0
+        for v in (10**k - 1, 10**k, 10**k + 1):
+            assert lo <= (v >> k) >> e < hi, k
+            assert cli._decimal_digits(v) == len(str(v)), v
+        for top, digits in ((hi, k + 1), (lo - 1, k)):
+            v = (top << (e + k)) | ((1 << (e + k)) - 1)
+            assert (v.bit_length() * cli._LOG10_2) >> cli._LOG10_2_SHIFT == k
+            assert cli._decimal_digits(v) == len(str(v)) == digits, (k, top == hi)
 
 
 def test_log10_2_constant_is_exact_below_2_to_64():
@@ -430,7 +495,8 @@ def test_closed_pipe_exits_quietly():
     # the reader takes one line and closes the pipe while the command still
     # has output to write: no traceback, and the status a shell gives SIGPIPE
     env = dict(os.environ, PYTHONPATH=str(Path(perigon.__file__).resolve().parents[1]))
-    for argv in (("table", "--max-n", "200"), ("verify", "--max-n", "10")):
+    for argv in (("table", "--max-n", "200"), ("verify", "--max-n", "10"),
+                 ("bfile", "--family", "pn", "--end", "3000")):
         # unbuffered, so that reading the line takes no more than it from the pipe
         proc = subprocess.Popen([sys.executable, "-m", "perigon", *argv], env=env, bufsize=0,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
