@@ -197,23 +197,15 @@ def polygon_decimal(n: int, cyclic: bool = False) -> Decimal:
 
     A run of one n with every power of two built in exact decimal
     arithmetic, so a huge count is printed without an int-to-decimal
-    conversion.  The powers are memoised for this one call only (the
-    cyclic count of an even n reads 2^(n/2) twice).
+    conversion.
     """
     import decimal
 
     if n < 3:
         raise ValueError(f"perimeter must be at least 3, got {n}")
     exact = _exact_context()
-    powers: dict[int, Decimal] = {}
-
-    def power(k: int) -> Decimal:
-        if k not in powers:
-            powers[k] = exact.power(2, k)
-        return powers[k]
-
     with decimal.localcontext(exact):
-        return next(_polygon_run(n, n, cyclic, power))
+        return next(_polygon_run(n, n, cyclic, lambda k: exact.power(2, k)))
 
 
 def _polygon_run(start: int, end: int, cyclic: bool, power) -> Iterator:

@@ -2,6 +2,7 @@ import decimal
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -246,19 +247,54 @@ def test_bfile_to_file_and_byte_stable(tmp_path, capsys):
 
 
 def test_bfile_batches_keep_the_bytes(tmp_path, capsys):
-    # runs that end inside the second and third batch of lines, to stdout and to --out
+    # runs of many chunks of lines that end inside one, to stdout and to --out
     for family, end, value in (("pn", 1030, census.count_polygons),
-                               ("triangles-nearest", 2 * cli._BFILE_BATCH_LINES + 7,
-                                census.triangles_nearest)):
+                               ("triangles-nearest", 2055, census.triangles_nearest)):
         first = 1 if family.endswith("-nearest") else 3
         expected = "".join(f"{n} {value(n)}\n" for n in range(first, end + 1))
-        assert end - first + 1 > cli._BFILE_BATCH_LINES
         code, out, _ = run(capsys, "bfile", "--family", family, "--end", str(end))
         assert code == 0 and out == expected
         path = tmp_path / f"{family}.txt"
         code, out, _ = run(capsys, "bfile", "--family", family, "--end", str(end),
                            "--out", str(path))
         assert code == 0 and out == "" and path.read_bytes() == expected.encode()
+    assert sorted(os.listdir(tmp_path)) == ["pn.txt", "triangles-nearest.txt"]
+
+
+def test_bfile_run_stopped_partway_keeps_the_old_file(tmp_path, capsys, monkeypatch):
+    def failing(start, end, m):
+        yield from census.polygon_values(start, 2000)  # many chunks written before it stops
+        raise census.InternalError("stopped partway")
+
+    monkeypatch.setitem(cli.FAMILIES, "pn", failing)
+    path = tmp_path / "b_pn.txt"
+    path.write_text("3 1\n")
+    with pytest.raises(census.InternalError, match="stopped partway"):
+        cli.main(["bfile", "--family", "pn", "--end", "3000", "--out", str(path)])
+    assert path.read_text() == "3 1\n"
+    assert os.listdir(tmp_path) == ["b_pn.txt"]  # no partial file left beside it
+    # through a symlink, the file it names is replaced and the link kept
+    monkeypatch.undo()
+    link = tmp_path / "link.txt"
+    link.symlink_to(path)
+    assert run(capsys, "bfile", "--family", "pn", "--end", "5", "--out", str(link))[0] == 0
+    assert link.is_symlink()
+    assert path.read_text() == "".join(f"{n} {census.count_polygons(n)}\n" for n in (3, 4, 5))
+
+
+def test_bfile_out_writes_a_pipe_in_place(tmp_path, capsys):
+    # only a file is written beside itself and moved; a pipe or device such as
+    # /dev/null stays what it is
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(capsys, "bfile", "--family", "pn", "--end", "5", "--out", str(fifo))[0] == 0
+        assert os.read(reader, 4096).decode() == "".join(
+            f"{n} {census.count_polygons(n)}\n" for n in (3, 4, 5))
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode) and os.listdir(tmp_path) == ["fifo"]
 
 
 def test_bfile_range_errors(capsys):
