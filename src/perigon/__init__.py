@@ -32,12 +32,11 @@ from .model import (
     classify,
     cyclic_group,
     dihedral_group,
-    element_order,
     is_good,
     to_sides,
     weight,
 )
-from .numtheory import HalfIntegerError, binomial, divisors, nearest_integer, totient
+from .numtheory import HalfIntegerError, binomial, divisors, totient
 from .oracle import (
     ORACLE_MAX_N,
     TupleSet,

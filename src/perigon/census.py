@@ -11,10 +11,12 @@ Only the m-gon closed forms use `_rotation_sum`; the assembly route sums
 the rotation classes' `fixcount` values itself on purpose, which keeps the
 two routes independent.  Two closed forms also come as runs over a range.
 `polygon_values` is the one evaluation of the polygon closed form, over
-n = start..end with the divisors of every n from one sieve;
-`count_polygons` and `count_polygons_cyclic` read a run of one n, and so
-does `polygon_decimal`, with every power of two built in exact decimal
-arithmetic so that a huge count prints without a base conversion.
+n = start..end with the divisors of every n from one sieve, and
+`count_polygons` and `count_polygons_cyclic` read a run of one n.
+`polygon_decimal` is the same run with every power of two built in exact
+decimal arithmetic, so that no term needs a base conversion to be printed:
+the polygon b-files read it, and `count` reads a run of one n when the
+count is huge.
 `mgon_columns` is the m-gon closed form evaluated one perimeter at a time,
 from Pascal's triangle, with its own rotation accumulation; `count_mgons`
 stays the single-cell function, since one cell may be far too large for
@@ -25,7 +27,8 @@ checks `mgon_columns` against `count_mgons` and the assembly route cell by
 cell for n <= 200, tests/test_census.py::test_polygon_values_equal_single_counts
 checks `polygon_values` against the assembly route for n <= 1000 and
 against runs of one n, tests/test_census.py::test_polygon_decimal_equals_int_counts
-checks `polygon_decimal` against the int run up to n = 10^5 + 3, and
+checks `polygon_decimal` against the int run, in runs and in runs of one n
+up to n = 10^5 + 3, and
 tests/test_cli.py::test_table_matches_cell_by_cell_census
 ties the printed table to `count_mgons`.  Every route's m-gon count is 0
 outside 3 <= m <= n.
@@ -36,6 +39,7 @@ Equivalence means rotation and/or reversal of the side ordering; the
 
 from __future__ import annotations
 
+from functools import partial
 from math import factorial, gcd, isqrt
 from operator import add
 
@@ -191,26 +195,50 @@ def polygon_values(start: int, end: int, cyclic: bool = False) -> Iterator[int]:
     return _polygon_run(start, max(end, start - 1), cyclic, (1).__lshift__)
 
 
-def polygon_decimal(n: int, cyclic: bool = False) -> Decimal:
-    """count_polygons(n), or count_polygons_cyclic(n) if cyclic, as an exact
-    decimal.Decimal whose str() is the count's decimal text.
+def polygon_decimal(start: int, end: int, cyclic: bool = False) -> Iterator[Decimal]:
+    """The run of polygon_values, with the same contract, each term an exact
+    decimal.Decimal whose str() is the count's decimal text: no term needs
+    an int-to-decimal conversion.
 
-    A run of one n with every power of two built in exact decimal
-    arithmetic, so a huge count is printed without an int-to-decimal
-    conversion.
+    Each 2^k is 2^(k-1) doubled when that is held, else one exact power.
+    The 2^k with k <= end // 2, which the d > 1 terms and the tails read,
+    are held for the run; of the larger ones, which only the d = 1 term 2^n
+    reads, only the latest is held.  Each term is evaluated under a context
+    that raises on any inexact, invalid or division-by-zero step; between
+    terms the caller's context is in force, unchanged.
     """
+    import contextvars
     import decimal
 
-    if n < 3:
-        raise ValueError(f"perimeter must be at least 3, got {n}")
+    if start < 3:
+        raise ValueError(f"perimeter must be at least 3, got {start}")
     exact = _exact_context()
-    with decimal.localcontext(exact):
-        return next(_polygon_run(n, n, cyclic, lambda k: exact.power(2, k)))
+    kept: dict[int, Decimal] = {}  # 2^k for k <= end // 2, and for the latest larger k
+    top = None  # that larger k
+
+    def power(k: int) -> Decimal:
+        nonlocal top
+        p = kept.get(k)
+        if p is None:
+            p = kept.get(k - 1)
+            p = exact.power(2, k) if p is None else exact.add(p, p)
+            if k > end // 2:
+                kept.pop(top, None)
+                top = k
+            kept[k] = p
+        return p
+
+    scope = contextvars.copy_context()  # the exact context, entered for each term
+    scope.run(decimal.setcontext, exact)
+    run = _polygon_run(start, max(end, start - 1), cyclic, power)
+    return iter(partial(scope.run, next, run, None), None)
 
 
 def _polygon_run(start: int, end: int, cyclic: bool, power) -> Iterator:
     """The run for n = start..end, with 2^k read from power(k): an int or an
-    exact Decimal, as the caller chooses."""
+    exact Decimal, as the caller chooses.  The rotation terms of the divisors
+    above sqrt(n), whose powers are at most 2^sqrt(n), are int shifts either
+    way; an exact Decimal sum takes them in without rounding."""
     small = [[] for _ in range(start, end + 1)]  # the divisors d <= sqrt(n) of n = end..start
     width = end - start
     for d in range(1, isqrt(end) + 1):
@@ -220,8 +248,8 @@ def _polygon_run(start: int, end: int, cyclic: bool, power) -> Iterator:
     for n in range(start, end + 1):
         below = small.pop()  # dropped once used, so that the sieve shrinks as the run goes
         # phi(d) 2^(n/d) over d | n, divided exactly by the group order, then the tails
-        rotations = sum(totient(d) * power(n // d)
-                        for d in below + [n // d for d in below if d * d != n])
+        rotations = (sum(totient(d) * power(n // d) for d in below)
+                     + sum(totient(n // d) << d for d in below if d * d != n))
         if cyclic:
             yield _exact_div(rotations, n, f"cyclic rotation sum (n={n})") - 1 - power(n // 2)
             continue

@@ -34,10 +34,10 @@ DEFAULT_SEED = 1729
 # looking the census function up at call time
 FAMILIES = {
     "pmn": lambda start, end, m: (census.count_mgons(n, m) for n in range(start, end + 1)),
-    "pn": lambda start, end, m: census.polygon_values(start, end),
+    "pn": lambda start, end, m: census.polygon_decimal(start, end),
     "pmn-cyclic": lambda start, end, m: (census.count_mgons_cyclic(n, m)
                                          for n in range(start, end + 1)),
-    "pn-cyclic": lambda start, end, m: census.polygon_values(start, end, cyclic=True),
+    "pn-cyclic": lambda start, end, m: census.polygon_decimal(start, end, cyclic=True),
     "triangles-nearest": lambda start, end, m: map(census.triangles_nearest,
                                                    range(start, end + 1)),
     "quadrilaterals-nearest": lambda start, end, m: map(census.quadrilaterals_nearest,
@@ -95,6 +95,10 @@ def _decimal_digits(v: int) -> int:
 # split into decimal halves below is faster (measured on 3.10, 3.11 and 3.12)
 _DECIMAL_FROM_BITS = 32_768
 _DECIMAL_LEAF_BITS = 512
+# str() accepts every int of at most this many bits under any digit limit:
+# 640, sys.int_info.str_digits_check_threshold, is the least nonzero limit
+# the interpreter takes, and 10^640 > 2^(3 * 640)
+_STR_BITS = 3 * 640
 
 
 def _decimal_text(v: int) -> str:
@@ -140,9 +144,9 @@ def _decimal_path(bits: int) -> bool:
 def _fmt_count(v) -> str:
     """Decimal text of a count (v >= 0): an int, or a Decimal that
     census.polygon_decimal built exactly."""
-    if not isinstance(v, int) or not _decimal_path(v.bit_length()):
-        return str(v)
-    return _decimal_text(v)
+    if isinstance(v, int) and (bits := v.bit_length()) > _STR_BITS and _decimal_path(bits):
+        return _decimal_text(v)
+    return str(v)
 
 
 def _evaluate_count(n: int, m: int | None, cyclic: bool, method: str):
@@ -152,7 +156,7 @@ def _evaluate_count(n: int, m: int | None, cyclic: bool, method: str):
     if method == "closed":
         if m is None:
             if _decimal_path(n):
-                return census.polygon_decimal(n, cyclic)
+                return next(census.polygon_decimal(n, n, cyclic))
             return census.count_polygons_cyclic(n) if cyclic else census.count_polygons(n)
         return census.count_mgons_cyclic(n, m) if cyclic else census.count_mgons(n, m)
     group = model.GroupKind.CYCLIC if cyclic else model.GroupKind.DIHEDRAL
@@ -261,21 +265,29 @@ def cmd_bfile(args: argparse.Namespace) -> int:
 
     path = os.path.realpath(args.out)  # through a symlink, as open() writes
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w") as out:  # a device or pipe, such as /dev/null
+        with _for_out(args.out, open, path, "w") as out:  # a device or pipe, such as /dev/null
             _write_chunks(out, lines)
         return EXIT_OK
     # a file is written beside itself and moved into place whole, so that a
     # run stopped partway leaves an earlier file as it was
     part = f"{path}.part"
     try:
-        with open(part, "w") as out:
+        with _for_out(args.out, open, part, "w") as out:
             _write_chunks(out, lines)
-        os.replace(part, path)
+        _for_out(args.out, os.replace, part, path)
     except BaseException:
         if os.path.exists(part):
             os.remove(part)
         raise
     return EXIT_OK
+
+
+def _for_out(name: str, call, *args):
+    """call(*args), with an OSError reported as a usage error about --out name."""
+    try:
+        return call(*args)
+    except OSError as err:
+        raise CliError(f"cannot write --out {name}: {err.strerror}") from None
 
 
 def _write_chunks(out, lines) -> None:

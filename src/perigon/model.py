@@ -33,7 +33,6 @@ __all__ = [
     "cyclic_group",
     "dihedral_group",
     "element_classes",
-    "element_order",
     "is_good",
     "to_sides",
     "weight",
@@ -254,13 +253,6 @@ def apply(sigma: GroupElement, a: CircularTuple) -> CircularTuple:
     return CircularTuple(tuple(a.bits[inv.permutes(i)] for i in range(a.n)))
 
 
-def element_order(sigma: GroupElement) -> int:
-    """Least d >= 1 with sigma composed d times equal to the identity."""
-    if sigma.is_reflection:
-        return 2
-    return sigma.n // gcd(sigma.n, sigma.q)
-
-
 def classify(sigma: GroupElement) -> ElementClass:
     """Class of sigma: identity, rotation tagged by order, or reflection
     split by fixed-point count.
@@ -270,7 +262,7 @@ def classify(sigma: GroupElement) -> ElementClass:
     reflection fixes a single point.
     """
     if not sigma.is_reflection:
-        d = element_order(sigma)
+        d = sigma.n // gcd(sigma.n, sigma.q)  # the rotation's order
         return ElementClass.identity() if d == 1 else ElementClass.rotation(d)
     if sigma.n % 2 == 1:
         return ElementClass.reflection_odd()

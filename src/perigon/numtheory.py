@@ -1,7 +1,8 @@
-"""Exact integer and rational primitives shared by the counting formulas.
+"""Exact integer primitives shared by the counting formulas.
 
-Counts are plain Python ints (arbitrary precision, never overflow) and
-exact rationals are fractions.Fraction; nothing here touches floats.
+Counts are plain Python ints (arbitrary precision, never overflow), and a
+quotient is rounded to the nearest integer in integer arithmetic; nothing
+here touches floats.
 """
 
 from __future__ import annotations
@@ -10,11 +11,7 @@ import math
 from functools import lru_cache
 from itertools import compress
 
-TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-__all__ = ["HalfIntegerError", "binomial", "divisors", "nearest_integer", "totient"]
+__all__ = ["HalfIntegerError", "binomial", "divisors", "totient"]
 
 
 class HalfIntegerError(ValueError):
@@ -120,16 +117,6 @@ def _prime_product_binomial(x: int, small: int) -> int:
             product.append(factors[-1])
         factors = product
     return factors[0]
-
-
-def nearest_integer(x: Fraction) -> int:
-    """The unique integer closest to x.
-
-    Undefined exactly at half-integers, where HalfIntegerError is raised
-    (callers that can prove the half-integer case never arises treat that
-    exception as a defect signal).
-    """
-    return _nearest_quotient(x.numerator, x.denominator)
 
 
 def _nearest_quotient(num: int, den: int) -> int:

@@ -1,3 +1,4 @@
+import decimal
 from fractions import Fraction
 
 import pytest
@@ -105,13 +106,34 @@ def test_polygon_values_equal_single_counts():
 
 
 def test_polygon_decimal_equals_int_counts(unlimited_int_str):
-    # the same run in exact decimal: below, at and above 2^15 bits, in every
-    # residue of n mod 4, under both groups
+    # the int run in exact decimal, term by term: one run from 3, sub-runs, and
+    # runs of one n below, at and above 2^15 bits, in every residue of n mod 4,
+    # under both groups
     for cyclic, single in ((False, census.count_polygons), (True, census.count_polygons_cyclic)):
-        for n in (*range(3, 60), *range(2**15, 2**15 + 4), *range(10**5, 10**5 + 4)):
-            assert str(census.polygon_decimal(n, cyclic)) == str(single(n)), (n, cyclic)
+        for start, end in ((3, 2000), (17, 40), (64, 100), (777, 800)):
+            assert ([str(v) for v in census.polygon_decimal(start, end, cyclic)]
+                    == [str(v) for v in census.polygon_values(start, end, cyclic)]), \
+                (start, end, cyclic)
+        for n in (*range(3, 60), *range(2**15 - 1, 2**15 + 4), *range(10**5, 10**5 + 4)):
+            assert [str(v) for v in census.polygon_decimal(n, n, cyclic)] == [str(single(n))], \
+                (n, cyclic)
+        assert list(census.polygon_decimal(10, 9, cyclic)) == []
+        assert list(census.polygon_decimal(3, -5, cyclic)) == []
         with pytest.raises(ValueError, match="at least 3"):
-            census.polygon_decimal(2, cyclic)
+            census.polygon_decimal(2, 10, cyclic)  # at the call, before the run is read
+
+
+def test_polygon_decimal_leaves_the_callers_context():
+    # each term is evaluated under the exact context; between terms the
+    # caller's context is in force, unchanged
+    caller = decimal.getcontext()
+    prec, flags = caller.prec, dict(caller.flags)
+    run = census.polygon_decimal(3, 200)
+    for expected in census.polygon_values(3, 200):
+        assert next(run) == expected
+        assert decimal.getcontext() is caller
+        assert (caller.prec, dict(caller.flags)) == (prec, flags)
+    assert next(run, None) is None
 
 
 def test_skewed_totient_fails_both_polygon_routes(monkeypatch):
@@ -123,9 +145,14 @@ def test_skewed_totient_fails_both_polygon_routes(monkeypatch):
         with pytest.raises(census.InternalError, match=rf"polygon rotation sum \(n={n}\) \(\d+ bits\)"):
             census.count_polygons(n)
         with pytest.raises(census.InternalError, match=rf"\(n={n}\) \(\d+ digits\)"):
-            census.polygon_decimal(n)
+            next(census.polygon_decimal(n, n))
         with pytest.raises(census.InternalError, match=rf"cyclic rotation sum \(n={n}\)"):
-            census.polygon_decimal(n, cyclic=True)
+            next(census.polygon_decimal(n, n, cyclic=True))
+    # a longer run yields the terms before the first even n, then stops there
+    run = census.polygon_decimal(17, 30)
+    assert next(run) == census.count_polygons(17)
+    with pytest.raises(census.InternalError, match=r"\(n=18\)"):
+        next(run)
 
 
 def test_exact_div_reports_the_size_not_the_value():

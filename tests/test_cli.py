@@ -84,7 +84,8 @@ def test_count_decimal_route_at_thresholds(capsys, monkeypatch, unlimited_int_st
     real = census.polygon_decimal
     built = []
     monkeypatch.setattr(census, "polygon_decimal",
-                        lambda n, cyclic=False: built.append(n) or real(n, cyclic))
+                        lambda start, end, cyclic=False: built.append((start, end))
+                        or real(start, end, cyclic))
     cases = [(0, cli._DECIMAL_FROM_BITS + d) for d in (-1, 0, 1)]
     if hasattr(sys, "set_int_max_str_digits"):
         cases += [(4300, 3 * 4300 + d) for d in (-1, 0, 1)]
@@ -102,7 +103,7 @@ def test_count_decimal_route_at_thresholds(capsys, monkeypatch, unlimited_int_st
             if limit:
                 sys.set_int_max_str_digits(0)
         threshold = 3 * limit if limit else cli._DECIMAL_FROM_BITS
-        assert built == ([n, n] if n > threshold else []), (limit, n)
+        assert built == ([(n, n)] * 2 if n > threshold else []), (limit, n)
 
 
 def test_count_unknown_flag(capsys):
@@ -295,6 +296,26 @@ def test_bfile_out_writes_a_pipe_in_place(tmp_path, capsys):
     finally:
         os.close(reader)
     assert stat.S_ISFIFO(os.stat(fifo).st_mode) and os.listdir(tmp_path) == ["fifo"]
+
+
+def test_bfile_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # a missing directory, a directory, then a move into place that fails:
+    # exit status 2, one error line, and nothing left beside the target
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        code, out, err = run(capsys, "bfile", "--family", "pn", "--end", "5", "--out", str(target))
+        assert code == 2 and out == "", target
+        assert err.startswith(f"error: cannot write --out {target}: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    target = tmp_path / "b.txt"
+    code, out, err = run(capsys, "bfile", "--family", "pn", "--end", "5", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {target}: Permission denied\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_bfile_range_errors(capsys):
@@ -520,6 +541,27 @@ def test_decimal_path_matches_str(unlimited_int_str):
         text = str(v)
         assert cli._decimal_text(v) == text, v.bit_length()
         assert cli._fmt_count(v) == text, v.bit_length()
+
+
+def test_small_ints_skip_the_digit_limit_lookup(monkeypatch, unlimited_int_str):
+    # an int of at most _STR_BITS bits goes straight to str(): str() accepts it
+    # under the least nonzero digit limit the interpreter takes
+    if hasattr(sys.int_info, "str_digits_check_threshold"):
+        assert cli._STR_BITS == 3 * sys.int_info.str_digits_check_threshold
+    values = [2**b - 1 for b in (1, cli._STR_BITS - 1, cli._STR_BITS, cli._STR_BITS + 1)]
+    texts = [str(v) for v in values]
+    looked_up = []
+    real = cli._decimal_path
+    monkeypatch.setattr(cli, "_decimal_path", lambda bits: looked_up.append(bits) or real(bits))
+    limits = [0]  # the fixture lifted the limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        limits.append(640)
+    for limit in limits:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+        looked_up.clear()
+        assert [cli._fmt_count(v) for v in values] == texts, limit
+        assert looked_up == [cli._STR_BITS + 1], limit
 
 
 def test_huge_count_prints_its_decimal_value(capsys, unlimited_int_str):

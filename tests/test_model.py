@@ -20,7 +20,6 @@ from perigon.model import (
     cyclic_group,
     dihedral_group,
     element_classes,
-    element_order,
     is_good,
     to_sides,
     weight,
@@ -213,6 +212,15 @@ def test_action_preserves_weight_and_goodness():
                 b = apply(sigma, a)
                 assert weight(b) == w
                 assert is_good(b) == g
+
+
+def element_order(sigma):
+    """The order of sigma as classify reports it: 1 for the identity, the
+    order of a rotation class, 2 for a reflection."""
+    cls = classify(sigma)
+    if cls.kind is ElementKind.IDENTITY:
+        return 1
+    return cls.order if cls.kind is ElementKind.ROTATION else 2
 
 
 def test_inverse_and_order():

@@ -9,7 +9,6 @@ from perigon.numtheory import (
     HalfIntegerError,
     binomial,
     divisors,
-    nearest_integer,
     totient,
 )
 
@@ -76,24 +75,25 @@ def test_binomial_symmetry_and_pascal():
 
 
 def test_nearest_integer_examples():
-    assert nearest_integer(Fraction(144, 48)) == 3
-    assert nearest_integer(Fraction(100, 48)) == 2
+    assert numtheory._nearest_quotient(144, 48) == 3
+    assert numtheory._nearest_quotient(100, 48) == 2
     with pytest.raises(HalfIntegerError):
-        nearest_integer(Fraction(5, 2))
+        numtheory._nearest_quotient(5, 2)
 
 
 def test_nearest_integer_detects_unreduced_half():
     with pytest.raises(HalfIntegerError):
-        nearest_integer(Fraction(6, 4))
+        numtheory._nearest_quotient(6, 4)
 
 
 def test_nearest_integer_within_half():
     rng = random.Random(2024)
     for _ in range(500):
-        x = Fraction(rng.randrange(-10_000, 10_000), rng.randrange(1, 500))
+        num, den = rng.randrange(-10_000, 10_000), rng.randrange(1, 500)
+        x = Fraction(num, den)
         if x.denominator == 2:
             continue
-        r = nearest_integer(x)
+        r = numtheory._nearest_quotient(num, den)
         assert abs(x - r) < Fraction(1, 2)
 
 
@@ -123,8 +123,9 @@ def test_nearest_quotient_rejects_half_integers(num, den):
         fraction_route(num, den)
     with pytest.raises(HalfIntegerError):
         numtheory._nearest_quotient(num, den)
+    x = Fraction(num, den)  # the same half-integer in lowest terms
     with pytest.raises(HalfIntegerError):
-        nearest_integer(Fraction(num, den))
+        numtheory._nearest_quotient(x.numerator, x.denominator)
     # one step either side of the half-integer rounds away from it
     for near in (num - 1, num + 1):
         assert numtheory._nearest_quotient(near, den) == fraction_route(near, den)
