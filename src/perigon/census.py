@@ -7,9 +7,11 @@ fixed-set sizes over the group, weighting each class by its size from
 regression-tested against — a transcription slip in any mod-4 branch
 shows up as a mismatch.
 
-Only the m-gon closed forms use `_rotation_sum`; the assembly route sums
-the rotation classes' `fixcount` values itself on purpose, which keeps the
-two routes independent.  Two closed forms also come as runs over a range.
+The polygon and m-gon closed forms are evaluated as runs over a range of
+n, and each single count reads a run of one n.  The m-gon rotation sums
+are those of `mgon_values` and `mgon_columns`; the assembly route sums the
+rotation classes' `fixcount` values itself on purpose, which keeps the
+two routes independent.
 `polygon_values` is the one evaluation of the polygon closed form, over
 n = start..end with the divisors of every n from one sieve, and
 `count_polygons` and `count_polygons_cyclic` read a run of one n.
@@ -17,12 +19,15 @@ n = start..end with the divisors of every n from one sieve, and
 decimal arithmetic, so that no term needs a base conversion to be printed:
 the polygon b-files read it, and `count` reads a run of one n when the
 count is huge.
-`mgon_columns` is the m-gon closed form evaluated one perimeter at a time,
-from Pascal's triangle, with its own rotation accumulation; `count_mgons`
-stays the single-cell function, since one cell may be far too large for
-Pascal rows.  The command picks the shape (`table` needs every cell and
-reads columns, the polygon b-files read one run).  Tests tie each run to
-the assembly route: tests/test_census.py::test_closed_forms_equal_burnside_assembly
+`mgon_values` is the m-gon closed form along n for a fixed m: the `pmn`
+b-files read it, and `count_mgons` and `count_mgons_cyclic` read a run of
+one n.  `mgon_columns` is the same closed form evaluated one perimeter at
+a time, from Pascal's triangle, with its own rotation accumulation, for
+`table`, which needs every cell; one cell may be far too large for Pascal
+rows.  Tests tie each run to the assembly route:
+tests/test_census.py::test_mgon_values_equal_burnside_assembly checks
+`mgon_values` against the assembly route for m = 3..12 and n <= 400, under
+both groups, tests/test_census.py::test_closed_forms_equal_burnside_assembly
 checks `mgon_columns` against `count_mgons` and the assembly route cell by
 cell for n <= 200, tests/test_census.py::test_polygon_values_equal_single_counts
 checks `polygon_values` against the assembly route for n <= 1000 and
@@ -40,7 +45,7 @@ Equivalence means rotation and/or reversal of the side ordering; the
 from __future__ import annotations
 
 from functools import partial
-from math import factorial, gcd, isqrt
+from math import factorial, isqrt
 from operator import add
 
 from .fixcount import fix_mgons, fix_polygons
@@ -65,6 +70,7 @@ __all__ = [
     "count_polygons_cyclic",
     "count_polygons_via_burnside",
     "mgon_columns",
+    "mgon_values",
     "polygon_decimal",
     "polygon_values",
     "quadrilaterals_nearest",
@@ -77,17 +83,18 @@ class InternalError(RuntimeError):
     """An exactness self-check failed: a defect in the formulas, never bad input."""
 
 
-def _exact_div(num, den: int, what: str):
+def _exact_div(num, den: int, what: str, *where):
     """num // den for an int or integral Decimal num, checked to be exact.
 
-    The message gives the numerator's size, not its value: a value of more
-    than 4,300 digits would trip the int-to-str limit in place of this error.
+    The message, what.format(*where), is built only on failure.  It gives
+    the numerator's size, not its value: a value of more than 4,300 digits
+    would trip the int-to-str limit in place of this error.
     """
     q, r = divmod(num, den)
     if r:
         size = (f"{num.bit_length()} bits" if isinstance(num, int)
                 else f"{num.adjusted() + 1} digits")
-        raise InternalError(f"{what} ({size}) leaves remainder {r} modulo {den}")
+        raise InternalError(f"{what.format(*where)} ({size}) leaves remainder {r} modulo {den}")
     return q
 
 
@@ -105,29 +112,51 @@ def _exact_context():
 # closed forms
 
 
-def _rotation_sum(n: int, m: int) -> int:
-    """Sum over the rotations of phi(d) times the m-subsets fixed by one of
-    order d: C(n/d, m/d) over d | gcd(n, m)."""
-    return sum(totient(d) * binomial(n // d, m // d) for d in divisors(gcd(m, n)))
-
-
 def count_mgons(n: int, m: int) -> int:
     """Inequivalent integer m-gons with perimeter n.
 
     Returns 0 whenever no such polygon exists (m < 3 or m > n), so callers
     may sweep rectangular (m, n) grids without guards.
     """
-    if m < 3 or m > n:
-        return 0
-    half_m = m // 2
-    reflections = (
-        binomial(half_m + (n - m) // 2, half_m)
-        - binomial(n // 2, m - 1)
-        - binomial(n // 4, half_m)
-        - (binomial((n + 2) // 4, half_m) if m % 2 == 0 else 0)
-    )
-    return _exact_div(_rotation_sum(n, m) + n * reflections, 2 * n,
-                      f"m-gon census numerator ({m},{n})")
+    return next(mgon_values(m, n, n))
+
+
+def mgon_values(m: int, start: int, end: int, cyclic: bool = False) -> Iterator[int]:
+    """Yield count_mgons(n, m), or count_mgons_cyclic(n, m) if cyclic, for
+    n = start..end: 0 below n = max(m, 3) and for every n when m < 3; the
+    run is empty when end < start.
+
+    The m-gon closed form along n for a fixed m.  The rotations sum
+    phi(d) C(n/d, m/d) over the divisors d of gcd(n, m): the divisors of m
+    and their phi are taken once per run, and each term tests n % d.  Each
+    distinct binomial is computed once per term: the rotation term that
+    equals the first reflection binomial (d = 2 for even n and m) is read,
+    not recomputed, and so is C((n+2)//4, m/2) when it equals C(n//4, m/2)
+    (even m, n = 0 or 1 mod 4).
+    """
+    first = m if m >= 3 else end + 1  # the least n with an m-gon; past the run when m < 3
+    for _ in range(start, min(first, end + 1)):
+        yield 0
+    if first > end:
+        return
+    rotations = [(d, totient(d), m // d) for d in divisors(m)]
+    k = m // 2
+    what = "cyclic fix sum ({},{})" if cyclic else "m-gon census numerator ({},{})"
+    for n in range(max(start, first), end + 1):
+        x = -1 if cyclic else k + (n - m) // 2
+        mirror = 0 if cyclic else binomial(x, k)  # the first reflection binomial
+        total = 0
+        for d, phi, j in rotations:
+            if n % d == 0:
+                total += phi * (mirror if n // d == x and j == k else binomial(n // d, j))
+        half = binomial(n // 2, m - 1)
+        if cyclic:
+            yield _exact_div(total, n, what, m, n) - half
+            continue
+        quarter = binomial(n // 4, k)
+        if m % 2 == 0:
+            quarter += quarter if n % 4 < 2 else binomial((n + 2) // 4, k)
+        yield _exact_div(total + n * (mirror - half - quarter), 2 * n, what, m, n)
 
 
 def mgon_columns(max_n: int) -> Iterator[tuple[int, list[int]]]:
@@ -169,7 +198,7 @@ def mgon_columns(max_n: int) -> Iterator[tuple[int, list[int]]]:
             num = rotations[m] + n * (reflections - half[m - 1])
             value, rest = divmod(num, twice)
             if rest:
-                _exact_div(num, twice, f"m-gon census numerator ({m},{n})")
+                _exact_div(num, twice, "m-gon census numerator ({},{})", m, n)
             column.append(value)
         yield n, column
 
@@ -200,12 +229,16 @@ def polygon_decimal(start: int, end: int, cyclic: bool = False) -> Iterator[Deci
     decimal.Decimal whose str() is the count's decimal text: no term needs
     an int-to-decimal conversion.
 
-    Each 2^k is 2^(k-1) doubled when that is held, else one exact power.
-    The 2^k with k <= end // 2, which the d > 1 terms and the tails read,
-    are held for the run; of the larger ones, which only the d = 1 term 2^n
-    reads, only the latest is held.  Each term is evaluated under a context
-    that raises on any inexact, invalid or division-by-zero step; between
-    terms the caller's context is in force, unchanged.
+    A long run doubles its powers of two (see _polygon_run).  A short one,
+    such as a run of one n, asks for each 2^k on demand, and it asks in
+    ascending k within a term: 2^k is then 2^j times a small power of two
+    when some j < k close below is held, or (2^j)^2 adjusted by a small
+    power of two when some j close to k / 2 is held, else one exact power.
+    The 2^k with k <= end // 2 are held for the run; of the larger ones,
+    which only the d = 1 term 2^n reads, only the latest is held.  Each
+    term is evaluated under a context that raises on any inexact, invalid
+    or division-by-zero step; between terms the caller's context is in
+    force, unchanged.
     """
     import contextvars
     import decimal
@@ -216,12 +249,11 @@ def polygon_decimal(start: int, end: int, cyclic: bool = False) -> Iterator[Deci
     kept: dict[int, Decimal] = {}  # 2^k for k <= end // 2, and for the latest larger k
     top = None  # that larger k
 
-    def power(k: int) -> Decimal:
+    def power(k: int) -> Decimal:  # called under the exact context
         nonlocal top
         p = kept.get(k)
         if p is None:
-            p = kept.get(k - 1)
-            p = exact.power(2, k) if p is None else exact.add(p, p)
+            p = _derived_power(kept, k) or exact.power(2, k)
             if k > end // 2:
                 kept.pop(top, None)
                 top = k
@@ -234,28 +266,100 @@ def polygon_decimal(start: int, end: int, cyclic: bool = False) -> Iterator[Deci
     return iter(partial(scope.run, next, run, None), None)
 
 
+_NEAR = 4  # 2^k is derived from a held 2^j when k - j, or |k - 2j|, is below this
+
+
+def _derived_power(kept: dict, k: int):
+    """2^k from a held 2^j: 2^j 2^(k-j) for 0 < k - j < _NEAR, else
+    (2^j)^2 times or divided by 2^|k - 2j| for |k - 2j| < _NEAR; None when
+    no such j is held.  Runs under the caller's (exact) decimal context."""
+    for c in range(1, _NEAR):
+        p = kept.get(k - c)
+        if p is not None:
+            return p * (1 << c)
+    for j in range((k - _NEAR) // 2 + 1, (k + _NEAR - 1) // 2 + 1):
+        p = kept.get(j)
+        if p is not None:
+            c = k - 2 * j
+            return p * p * (1 << c) if c >= 0 else p * p // (1 << -c)
+    return None
+
+
+def _extend_totients(totients: list[int], primes: list[int], top: int) -> None:
+    """Extend totients, phi(m) for m < len(totients), to m <= top, sieving the
+    new block with the primes found so far and then with those it holds;
+    primes grows with it."""
+    low = len(totients)
+    totients += range(low, top + 1)
+    for p in primes:
+        first = -(-low // p) * p
+        totients[first::p] = [v - v // p for v in totients[first::p]]
+    for p in range(low, top + 1):
+        if totients[p] == p:  # no smaller prime divides p
+            primes.append(p)
+            totients[p::p] = [v - v // p for v in totients[p::p]]
+
+
 def _polygon_run(start: int, end: int, cyclic: bool, power) -> Iterator:
     """The run for n = start..end, with 2^k read from power(k): an int or an
-    exact Decimal, as the caller chooses.  The rotation terms of the divisors
-    above sqrt(n), whose powers are at most 2^sqrt(n), are int shifts either
-    way; an exact Decimal sum takes them in without rounding."""
+    exact Decimal, as the caller chooses.
+
+    A long run (start <= end / 2) reads no power(k) after its first term's
+    2^(start - 1): 2^n is the previous term's doubled, and the 2^k with
+    k <= n // 2 come from a list that grows by one doubling as n reaches
+    2k; phi comes from a sieve that grows to 2n whenever n passes its end.
+    Neither is built for the whole run before its first term.  A short
+    run, such as a run of one n, reads phi from totient and every power
+    from power(k), in ascending k within a term.
+    The rotation terms of the divisors above sqrt(n), whose powers are at
+    most 2^sqrt(n), are int shifts either way; an exact Decimal sum takes
+    them in without rounding.
+    """
     small = [[] for _ in range(start, end + 1)]  # the divisors d <= sqrt(n) of n = end..start
     width = end - start
     for d in range(1, isqrt(end) + 1):
         if end % d <= width:  # some multiple of d lies in start..end
             for n in range(max(d * d, -(-start // d) * d), end + 1, d):
                 small[end - n].append(d)
+    order, what = ((1, "cyclic rotation sum (n={})") if cyclic
+                   else (2, "polygon rotation sum (n={})"))
+    phi = totient
+    long = 2 * start <= end
+    if long:
+        totients, primes = [0, 1], []  # phi(m) for m < len(totients), and the primes there
+        phi = totients.__getitem__
+        twos = [power(0)]  # 2^k for k <= n // 2
+        top = power(start - 1)  # 2^(n - 1), doubled to 2^n in term n
+        power = twos.__getitem__
     for n in range(start, end + 1):
         below = small.pop()  # dropped once used, so that the sieve shrinks as the run goes
-        # phi(d) 2^(n/d) over d | n, divided exactly by the group order, then the tails
-        rotations = (sum(totient(d) * power(n // d) for d in below)
-                     + sum(totient(n // d) << d for d in below if d * d != n))
+        if long:
+            if n >= len(totients):
+                _extend_totients(totients, primes, min(end, 2 * n))
+            while len(twos) <= n // 2:
+                twos.append(twos[-1] + twos[-1])
+        # the powers in ascending k: the tails (at most n // 2), the rotation
+        # terms of the divisors d > 1, then 2^n
         if cyclic:
-            yield _exact_div(rotations, n, f"cyclic rotation sum (n={n})") - 1 - power(n // 2)
-            continue
-        tail = 3 * power((n - 4) // 4) if n % 4 in (0, 1) else power((n + 2) // 4)
-        yield (_exact_div(rotations, 2 * n, f"polygon rotation sum (n={n})")
-               + power((n - 3) // 2) - tail)
+            tails = -1 - power(n // 2)
+        else:
+            tail = 3 * power((n - 4) // 4) if n % 4 < 2 else power((n + 2) // 4)
+            tails = power((n - 3) // 2) - tail
+        rotations = shifts = 0  # the rotation terms of d > 1, and those of the cofactors
+        for d in reversed(below):
+            if d > 1:
+                rotations += phi(d) * power(n // d)
+            if d * d != n:
+                shifts += phi(n // d) << d
+        if long:
+            top += top
+        # phi(d) 2^(n/d) over d | n, divided exactly by the group order, then the
+        # tails; each sum replaces the one before, and a run of one n holds no
+        # 2^n of its own: at n = 10^6 this keeps the peak memory down
+        rotations += shifts
+        rotations += top if long else power(n)
+        rotations = _exact_div(rotations, order * n, what, n)
+        yield rotations + tails
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +372,7 @@ def _group_average(n: int, group: GroupKind, fix) -> int:
     classes = element_classes(n, group)
     total = sum(size * fix(cls) for cls, size in classes)
     return _exact_div(total, sum(size for _, size in classes),
-                      f"{group.value} fix sum (n={n})")
+                      "{} fix sum (n={})", group.value, n)
 
 
 def count_polygons_via_burnside(n: int, group: GroupKind = GroupKind.DIHEDRAL) -> int:
@@ -294,10 +398,7 @@ def count_mgons_cyclic(n: int, m: int) -> int:
 
     Returns 0 outside 3 <= m <= n, like count_mgons.
     """
-    if m < 3 or m > n:
-        return 0
-    rotations = _exact_div(_rotation_sum(n, m), n, f"cyclic fix sum ({m},{n})")
-    return rotations - binomial(n // 2, m - 1)
+    return next(mgon_values(m, n, n, cyclic=True))
 
 
 def count_polygons_cyclic(n: int) -> int:
@@ -350,7 +451,7 @@ def quadrilaterals_piecewise(n: int) -> int:
         cubic = n**3 - 3 * n**2 + 20 * n - 36
     else:
         cubic = n**3 - 7 * n - 6
-    return _exact_div(cubic, 96, f"piecewise quadrilateral value (n={n})")
+    return _exact_div(cubic, 96, "piecewise quadrilateral value (n={})", n)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,9 @@ DEFAULT_SEED = 1729
 # b-file families: values(start, end, m), the run of terms for n = start..end,
 # looking the census function up at call time
 FAMILIES = {
-    "pmn": lambda start, end, m: (census.count_mgons(n, m) for n in range(start, end + 1)),
+    "pmn": lambda start, end, m: census.mgon_values(m, start, end),
     "pn": lambda start, end, m: census.polygon_decimal(start, end),
-    "pmn-cyclic": lambda start, end, m: (census.count_mgons_cyclic(n, m)
-                                         for n in range(start, end + 1)),
+    "pmn-cyclic": lambda start, end, m: census.mgon_values(m, start, end, cyclic=True),
     "pn-cyclic": lambda start, end, m: census.polygon_decimal(start, end, cyclic=True),
     "triangles-nearest": lambda start, end, m: map(census.triangles_nearest,
                                                    range(start, end + 1)),
@@ -203,35 +202,45 @@ def cmd_count(args: argparse.Namespace) -> int:
 # table
 
 
-def _table_rows(max_n: int) -> list[list[str]]:
-    """The m-gon triangle, row m holding p(m, n) for n = 3..max_n (blank
-    where m > n), then the totals p(n); filled one perimeter at a time."""
-    ns = range(3, max_n + 1)
-    triangle = [[str(m)] + [""] * (m - 3) for m in ns]
-    totals = ["total"]
+def _table(max_n: int) -> tuple[list[list[str]], list[int]]:
+    """The m-gon triangle, row m holding the text of p(m, n) for n = m..max_n,
+    and the totals p(n) for n = 3..max_n; filled one perimeter at a time."""
+    triangle = [[] for _ in range(3, max_n + 1)]
+    totals = []
     for (n, column), total in zip(census.mgon_columns(max_n), census.polygon_values(3, max_n)):
         for row, value in zip(triangle, column):
             row.append(str(value))
         if sum(column) != total:  # sum over m of p(m, n) is p(n)
             raise census.InternalError(f"the m-gon counts at perimeter {n} sum to "
                                        f"{sum(column)}, not p({n}) = {total}")
-        totals.append(str(total))
-    return [["m\\n"] + [str(n) for n in ns], *triangle, totals]
+        totals.append(total)
+    return triangle, totals
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.max_n < 3:
-        raise CliError(f"--max-n must be at least 3, got {args.max_n}")
-    rows = _table_rows(args.max_n)
+    max_n = args.max_n
+    if max_n < 3:
+        raise CliError(f"--max-n must be at least 3, got {max_n}")
+    triangle, totals = _table(max_n)
+    header = ["m\\n", *map(str, range(3, max_n + 1))]
+    footer = ["total", *map(str, totals)]
     if args.format == "csv":
-        for row in rows:
-            print(",".join(row))
+        print(",".join(header))
+        for m, row in enumerate(triangle, 3):
+            print(str(m) + "," * (m - 2) + ",".join(row))  # a blank cell for each n < m
+        print(",".join(footer))
         return EXIT_OK
-    widths = [max(map(len, col)) for col in zip(*rows)]
-    for row in rows[:-1]:
-        print(" ".join(map(str.rjust, row, widths)).rstrip())
+    # each column is as wide as its largest int: n, or the total, which is the
+    # sum of the column's counts; the first column holds m\\n, 3..max_n and total
+    widths = [max(len(footer[0]), len(header[-1])),
+              *(len(str(max(n, total))) for n, total in enumerate(totals, 3))]
+    print(" ".join(map(str.rjust, header, widths)))
+    lead = 0  # the width of row m's blank cells, for n < m, printed as one run of spaces
+    for m, row in enumerate(triangle, 3):
+        print(str(m).rjust(widths[0]), " " * lead + " ".join(map(str.rjust, row, widths[m - 2:])))
+        lead += widths[m - 2] + 1
     print("-" * (sum(widths) + len(widths) - 1))
-    print(" ".join(map(str.rjust, rows[-1], widths)).rstrip())
+    print(" ".join(map(str.rjust, footer, widths)))
     return EXIT_OK
 
 

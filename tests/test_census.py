@@ -93,7 +93,10 @@ def test_polygon_values_equal_single_counts():
         run = list(census.polygon_values(3, 1000, cyclic))
         assert run == [census.count_polygons_via_burnside(n, group) for n in range(3, 1001)]
         assert run == [single(n) for n in range(3, 1001)]
-        for start, end in ((3, 3), (4, 4), (97, 97), (500, 500), (17, 40), (64, 100)):
+        # runs with start <= end / 2 sieve phi and double their powers, shorter
+        # ones read totient and each power: both sides of the switch
+        for start, end in ((3, 3), (4, 4), (97, 97), (500, 500), (17, 40), (64, 100),
+                           (3, 5), (3, 6), (250, 500), (251, 500)):
             assert list(census.polygon_values(start, end, cyclic)) == run[start - 3:end - 2], \
                 (start, end, cyclic)
         assert list(census.polygon_values(10, 9, cyclic)) == []
@@ -105,12 +108,54 @@ def test_polygon_values_equal_single_counts():
         assert str(run_error.value) == str(single_error.value)
 
 
+def test_mgon_values_equal_burnside_assembly():
+    # the run along n for every m = 3..12, both parities of m and every
+    # residue of n mod 4, against the assembly route, under both groups
+    for group in GroupKind:
+        cyclic = group is GroupKind.CYCLIC
+        for m in range(3, 13):
+            assert list(census.mgon_values(m, 3, 400, cyclic)) == \
+                [census.count_mgons_via_burnside(n, m, group) for n in range(3, 401)], (m, group)
+
+
+def test_mgon_values_start_below_m_yield_zeros():
+    for cyclic, single in ((False, census.count_mgons), (True, census.count_mgons_cyclic)):
+        assert list(census.mgon_values(7, 1, 12, cyclic)) == \
+            [0] * 6 + [single(n, 7) for n in range(7, 13)] == [single(n, 7) for n in range(1, 13)]
+        assert list(census.mgon_values(7, -3, 5, cyclic)) == [0] * 9
+        for m in (2, 1, 0, -4):  # no m-gon at any n
+            assert list(census.mgon_values(m, 1, 20, cyclic)) == [0] * 20
+        assert list(census.mgon_values(7, 10, 9, cyclic)) == []
+        assert list(census.mgon_values(7, 12, 5, cyclic)) == []
+
+
+def test_mgon_values_compute_each_binomial_once_per_term(monkeypatch):
+    # the d = 2 rotation term C(n/2, m/2) is the first reflection binomial
+    # for even n and m, and C(n//4, m/2) = C((n+2)//4, m/2) for even m and
+    # n = 0 or 1 mod 4: each is computed once; C(x, 0) and C(x, x) are 1 and
+    # cost nothing (C(1, 1) is two reflection binomials at m = 3, n = 4)
+    calls = []
+    real = census.binomial
+    monkeypatch.setattr(census, "binomial", lambda x, k: calls.append((x, k)) or real(x, k))
+    for single in (census.count_mgons, census.count_mgons_cyclic):
+        for m in range(3, 13):
+            for n in range(m, 101):
+                calls.clear()
+                single(n, m)
+                nontrivial = [(x, k) for x, k in calls if 0 < k < x]
+                assert len(nontrivial) == len(set(nontrivial)), (single.__name__, m, n, calls)
+    calls.clear()
+    census.count_mgons(20, 6)  # C(10, 3) is read for d = 2, and C(5, 3) once
+    assert sorted(calls) == [(5, 3), (10, 3), (10, 5), (20, 6)]
+
+
 def test_polygon_decimal_equals_int_counts(unlimited_int_str):
     # the int run in exact decimal, term by term: one run from 3, sub-runs, and
     # runs of one n below, at and above 2^15 bits, in every residue of n mod 4,
     # under both groups
     for cyclic, single in ((False, census.count_polygons), (True, census.count_polygons_cyclic)):
-        for start, end in ((3, 2000), (17, 40), (64, 100), (777, 800)):
+        for start, end in ((3, 2000), (17, 40), (64, 100), (777, 800), (3, 5), (3, 6),
+                           (250, 500), (251, 500)):
             assert ([str(v) for v in census.polygon_decimal(start, end, cyclic)]
                     == [str(v) for v in census.polygon_values(start, end, cyclic)]), \
                 (start, end, cyclic)

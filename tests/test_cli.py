@@ -171,6 +171,20 @@ def test_table_matches_cell_by_cell_census(capsys, max_n):
     assert lines[-1].split() == ["total", *(str(census.count_polygons(n)) for n in ns)]
 
 
+@pytest.mark.parametrize("max_n", [3, 4, 9, 12, 41, 120])
+def test_table_plain_right_aligns_the_csv_cells(capsys, max_n):
+    # each plain column is as wide as its longest csv cell, cells right-aligned
+    # and one space apart, with no trailing blanks, and a rule above the totals
+    code, out, _ = run(capsys, "table", "--max-n", str(max_n), "--format", "csv")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = [" ".join(map(str.rjust, row, widths)).rstrip() for row in rows]
+    lines.insert(-1, "-" * (sum(widths) + len(widths) - 1))
+    code, out, _ = run(capsys, "table", "--max-n", str(max_n))
+    assert code == 0 and out == "\n".join(lines) + "\n"
+
+
 def test_table_checks_row_sums(capsys, monkeypatch):
     polygons = census.polygon_values
     monkeypatch.setattr(census, "polygon_values", lambda start, end: (
