@@ -45,7 +45,7 @@ Equivalence means rotation and/or reversal of the side ordering; the
 from __future__ import annotations
 
 from functools import partial
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt
 from operator import add
 
 from .fixcount import fix_mgons, fix_polygons
@@ -128,7 +128,8 @@ def mgon_values(m: int, start: int, end: int, cyclic: bool = False) -> Iterator[
 
     The m-gon closed form along n for a fixed m.  The rotations sum
     phi(d) C(n/d, m/d) over the divisors d of gcd(n, m): the divisors of m
-    and their phi are taken once per run, and each term tests n % d.  Each
+    and their phi are taken once per run, and each term tests n % d; a run
+    of one n takes the divisors of gcd(n, m), all of which pass.  Each
     distinct binomial is computed once per term: the rotation term that
     equals the first reflection binomial (d = 2 for even n and m) is read,
     not recomputed, and so is C((n+2)//4, m/2) when it equals C(n//4, m/2)
@@ -139,7 +140,7 @@ def mgon_values(m: int, start: int, end: int, cyclic: bool = False) -> Iterator[
         yield 0
     if first > end:
         return
-    rotations = [(d, totient(d), m // d) for d in divisors(m)]
+    rotations = [(d, totient(d), m // d) for d in divisors(m if end > start else gcd(start, m))]
     k = m // 2
     what = "cyclic fix sum ({},{})" if cyclic else "m-gon census numerator ({},{})"
     for n in range(max(start, first), end + 1):

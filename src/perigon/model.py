@@ -154,10 +154,6 @@ class GroupElement(_Record):
     def reflection(cls, n: int, q: int) -> GroupElement:
         return cls(n, q % n, True)
 
-    @classmethod
-    def identity(cls, n: int) -> GroupElement:
-        return cls(n, 0, False)
-
     def permutes(self, i: int) -> int:
         """Image of position i under this symmetry."""
         if self.is_reflection:

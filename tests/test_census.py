@@ -118,6 +118,14 @@ def test_mgon_values_equal_burnside_assembly():
                 [census.count_mgons_via_burnside(n, m, group) for n in range(3, 401)], (m, group)
 
 
+def test_mgon_values_runs_of_one_n_equal_the_long_run():
+    # a run of one n takes the divisors of gcd(n, m), a longer run those of m
+    for cyclic in (False, True):
+        for m in (12, 30, 60):
+            assert [next(census.mgon_values(m, n, n, cyclic)) for n in range(1, 201)] == \
+                list(census.mgon_values(m, 1, 200, cyclic)), (m, cyclic)
+
+
 def test_mgon_values_start_below_m_yield_zeros():
     for cyclic, single in ((False, census.count_mgons), (True, census.count_mgons_cyclic)):
         assert list(census.mgon_values(7, 1, 12, cyclic)) == \

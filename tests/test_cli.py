@@ -423,7 +423,7 @@ def test_verify_fix_partition_compares_two_goodness_rules(capsys, monkeypatch):
     monkeypatch.setattr(oracle, "_good_mask", broken)
     try:
         oracle._SCAN.clear()
-        identity = model.GroupElement.identity(6)
+        identity = model.GroupElement.rotation(6, 0)
         good, bad, everything = (oracle.fix_count_direct(6, identity, subset) for subset in
                                  (oracle.TupleSet.GOOD, oracle.TupleSet.BAD, oracle.TupleSet.ALL))
         assert good != everything - bad
@@ -583,10 +583,93 @@ def test_huge_count_prints_its_decimal_value(capsys, unlimited_int_str):
     assert code == 0 and out == str(census.count_polygons(200000)) + "\n"
 
 
+# ---------------------------------------------------------------------------
+# process exit: each test starts a fresh interpreter, which ends through cli.run
+
+
+def child_env():
+    """The environment without PYTHON* settings, so that standard output is
+    buffered as it is by default, and with the package on the path."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(perigon.__file__).resolve().parents[1])
+    return env
+
+
+def run_process(*argv, prelude=None, module="perigon"):
+    """`python -m perigon ARGV` in a fresh process; with a prelude, a fresh
+    interpreter runs the prelude's code first and then the module as
+    __main__, as -m does."""
+    if prelude is None:
+        cmd = [sys.executable, "-m", module, *argv]
+    else:
+        code = prelude + f"\nimport runpy\nrunpy.run_module({module!r}, run_name='__main__')"
+        cmd = [sys.executable, "-c", code, *argv]
+    return subprocess.run(cmd, env=child_env(), capture_output=True, text=True, timeout=60)
+
+
+def test_process_exits_with_its_output_and_status(monkeypatch):
+    done = run_process("count", "--n", "20")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "26452\n", "")
+    done = run_process("count", "--n", "2")
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (2, "", "error: --n must be at least 3 (a polygon needs perimeter >= 3), got 2\n")
+    # main leaves --help in the buffer: run's flush writes it
+    monkeypatch.setenv("COLUMNS", "80")  # the same help text in both processes
+    done = run_process("--help")
+    assert (done.returncode, done.stdout, done.stderr) == (0, cli.build_parser().format_help(), "")
+
+
+@pytest.mark.parametrize("module", ["perigon", "perigon.cli"])
+def test_process_ends_without_interpreter_teardown(module):
+    # an exit handler runs in the interpreter's teardown, which run skips
+    done = run_process("count", "--n", "20", module=module,
+                       prelude="import atexit\natexit.register(print, 'teardown')")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "26452\n", "")
+
+
+def test_process_exits_with_status_1_on_a_disagreement():
+    skew = ("from perigon import census\n"
+            "real = census.count_mgons\n"
+            "census.count_mgons = lambda n, m: real(n, m) + ((n, m) == (7, 4))")
+    done = run_process("verify", "--max-n", "8", prelude=skew)
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["all_agree"] is False
+    assert done.stderr == "verification failed at n=7, m=4: mgons closed-form != burnside\n"
+
+
+def test_process_without_stderr_takes_the_interpreters_exit():
+    # a stream that cannot be flushed leaves the exit to the interpreter,
+    # with main's status and every byte main wrote (print sends the error
+    # line to stdout when stderr is None)
+    done = run_process("count", "--n", "2", prelude="import sys\nsys.stderr = None")
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (2, "error: --n must be at least 3 (a polygon needs perimeter >= 3), got 2\n", "")
+
+
+def test_process_bfile_out_leaves_the_whole_file(tmp_path, capsys):
+    out = tmp_path / "pn.txt"
+    done = run_process("bfile", "--family", "pn", "--end", "50", "--out", str(out))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert os.listdir(tmp_path) == ["pn.txt"]  # no pn.txt.part
+    code, expected, _ = run(capsys, "bfile", "--family", "pn", "--end", "50")
+    assert code == 0 and out.read_text() == expected and expected.count("\n") == 48
+
+
+def test_main_returns_its_code_and_never_ends_the_process(capsys, monkeypatch):
+    def ended(code):
+        raise AssertionError(f"main ended the process with status {code}")
+
+    monkeypatch.setattr(os, "_exit", ended)
+    assert cli.main(["count", "--n", "20"]) == 0
+    assert cli.main(["count", "--n", "2"]) == 2
+    assert cli.main(["count", "--bogus"]) == 2
+    assert capsys.readouterr().out == "26452\n"
+
+
 def test_closed_pipe_exits_quietly():
     # the reader takes one line and closes the pipe while the command still
     # has output to write: no traceback, and the status a shell gives SIGPIPE
-    env = dict(os.environ, PYTHONPATH=str(Path(perigon.__file__).resolve().parents[1]))
+    env = child_env()
     for argv in (("table", "--max-n", "200"), ("verify", "--max-n", "10"),
                  ("bfile", "--family", "pn", "--end", "3000")):
         # unbuffered, so that reading the line takes no more than it from the pipe
@@ -609,8 +692,7 @@ def test_import_loads_no_command_only_modules():
     # file preloads can hide a module the package itself pulls in at start-up
     lazy = ("dataclasses", "inspect", "typing", "fractions", "decimal", "json", "hashlib",
             "random", "pathlib")
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(Path(perigon.__file__).resolve().parents[1])
+    env = child_env()
     code = f"import perigon.cli, sys; print(*sorted(set({lazy!r}) & set(sys.modules)))"
     loaded = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                             capture_output=True, text=True, timeout=60).stdout.split()

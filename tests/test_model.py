@@ -163,7 +163,7 @@ def test_record_validation_messages(build, message):
 
 def test_apply_identity():
     a = tup("101100")
-    assert apply(GroupElement.identity(6), a) == a
+    assert apply(GroupElement.rotation(6, 0), a) == a
 
 
 def test_apply_rotation_shift():
@@ -198,7 +198,7 @@ def test_action_law():
             s, t = rng.choice(elems), rng.choice(elems)
             a = CircularTuple(tuple(rng.randrange(2) for _ in range(n)))
             assert apply(compose(s, t), a) == apply(s, apply(t, a))
-            assert apply(GroupElement.identity(n), a) == a
+            assert apply(GroupElement.rotation(n, 0), a) == a
 
 
 def test_action_preserves_weight_and_goodness():
@@ -226,12 +226,12 @@ def element_order(sigma):
 def test_inverse_and_order():
     for n in (5, 8, 12):
         for sigma in dihedral_group(n):
-            assert compose(sigma, sigma.inverse()) == GroupElement.identity(n)
+            assert compose(sigma, sigma.inverse()) == GroupElement.rotation(n, 0)
             d = element_order(sigma)
-            acc = GroupElement.identity(n)
+            acc = GroupElement.rotation(n, 0)
             for k in range(1, d + 1):
                 acc = compose(sigma, acc)
-                assert (acc == GroupElement.identity(n)) == (k == d)
+                assert (acc == GroupElement.rotation(n, 0)) == (k == d)
 
 
 def test_element_order_examples():
@@ -248,7 +248,7 @@ def test_classify_examples():
     assert classify(GroupElement.reflection(12, 2)) == ElementClass.reflection_even_two_fixed_points()
     assert classify(GroupElement.reflection(12, 3)) == ElementClass.reflection_even_no_fixed_point()
     assert classify(GroupElement.reflection(13, 7)) == ElementClass.reflection_odd()
-    assert classify(GroupElement.identity(9)) == ElementClass.identity()
+    assert classify(GroupElement.rotation(9, 0)) == ElementClass.identity()
     assert classify(GroupElement.rotation(12, 4)) == ElementClass.rotation(3)
 
 

@@ -86,7 +86,7 @@ def test_orbit_count_examples():
 
 
 def test_fix_count_direct_examples():
-    identity = GroupElement.identity(4)
+    identity = GroupElement.rotation(4, 0)
     assert fix_count_direct(4, identity, TupleSet.ALL) == 16
     assert fix_count_direct(4, identity, TupleSet.GOOD) == 1
     half_turn = GroupElement.rotation(6, 3)
@@ -122,7 +122,7 @@ def test_orbit_count_matches_group_average():
 
 def test_identity_weight_counts_are_binomials():
     for n in range(3, 15):
-        identity = GroupElement.identity(n)
+        identity = GroupElement.rotation(n, 0)
         for m in range(0, n + 1):
             assert fix_count_direct(n, identity, TupleSet.ALL, weight=m) == math.comb(n, m)
 
@@ -135,12 +135,12 @@ def test_scale_bound():
     with pytest.raises(ValueError):
         canonical_form(CircularTuple((0, 1) * 14), GroupKind.DIHEDRAL)
     with pytest.raises(ValueError):
-        fix_count_direct(30, GroupElement.identity(30), TupleSet.ALL)
+        fix_count_direct(30, GroupElement.rotation(30, 0), TupleSet.ALL)
 
 
 def test_weight_filter_validation():
     assert orbit_count(8, GroupKind.DIHEDRAL, weight=2) == 0
     with pytest.raises(ValueError):
-        fix_count_direct(8, GroupElement.identity(8), TupleSet.ALL, weight=9)
+        fix_count_direct(8, GroupElement.rotation(8, 0), TupleSet.ALL, weight=9)
     with pytest.raises(ValueError):
-        fix_count_direct(8, GroupElement.identity(6), TupleSet.ALL)
+        fix_count_direct(8, GroupElement.rotation(6, 0), TupleSet.ALL)
