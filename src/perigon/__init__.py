@@ -27,14 +27,10 @@ from .model import (
     ElementKind,
     GroupElement,
     GroupKind,
-    NotAPolygonError,
     apply,
     classify,
     cyclic_group,
     dihedral_group,
-    is_good,
-    to_sides,
-    weight,
 )
 from .numtheory import HalfIntegerError, binomial, divisors, totient
 from .oracle import (

@@ -501,8 +501,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits on usage errors; surface the code
         return int(exc.code or 0)
     try:
+        if sys.stdout is None and not getattr(args, "out", None):  # started with fd 1 closed
+            raise CliError("standard output is closed")
         code = args.handler(args)
-        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)

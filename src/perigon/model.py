@@ -1,4 +1,4 @@
-"""Circular bitstrings, the symmetries of the marked circle, and side lists.
+"""Circular bitstrings, the symmetries of the marked circle, and their classes.
 
 A perimeter-n polygon with integer sides is encoded by n equally spaced
 points on a circle with the corner points marked: an n-tuple over {0,1}.
@@ -25,22 +25,13 @@ __all__ = [
     "ElementKind",
     "GroupElement",
     "GroupKind",
-    "NotAPolygonError",
-    "SideLengths",
     "apply",
     "bad_block_threshold",
     "classify",
     "cyclic_group",
     "dihedral_group",
     "element_classes",
-    "is_good",
-    "to_sides",
-    "weight",
 ]
-
-
-class NotAPolygonError(ValueError):
-    """Raised when a circular tuple does not mark the corners of a polygon."""
 
 
 class _Record:
@@ -106,10 +97,6 @@ class CircularTuple(_Record):
         if set(text) - {"0", "1"}:
             raise ValueError(f"not a bitstring: {text!r}")
         return cls(tuple(int(c) for c in text))
-
-    def ones(self) -> tuple[int, ...]:
-        """Ascending 0-based positions of the 1-entries."""
-        return tuple(i for i, b in enumerate(self.bits) if b)
 
     def __str__(self) -> str:
         return "".join(map(str, self.bits))
@@ -287,94 +274,7 @@ def element_classes(n: int, group: GroupKind) -> list[tuple[ElementClass, int]]:
     return classes
 
 
-def weight(a: CircularTuple) -> int:
-    """Number of 1-entries (the number of marked corners)."""
-    return sum(a.bits)
-
-
-def zero_blocks(a: CircularTuple) -> list[int]:
-    """Lengths of the maximal circular runs of 0s.
-
-    A run may wrap past the last position; a leading and a trailing run are
-    one block.  The all-zero tuple is a single run of length n.
-    """
-    if not any(a.bits):
-        return [a.n]
-    # start scanning just after a 1 so every run is contiguous in scan order
-    start = a.bits.index(1) + 1
-    runs = []
-    run = 0
-    for off in range(a.n):
-        if a.bits[(start + off) % a.n]:
-            if run:
-                runs.append(run)
-            run = 0
-        else:
-            run += 1
-    if run:
-        runs.append(run)
-    return runs
-
-
 def bad_block_threshold(n: int) -> int:
     """Shortest zero-run length that rules out a polygon on n points."""
     k = n // 2
     return k - 1 if n % 2 == 0 else k
-
-
-def is_good(a: CircularTuple) -> bool:
-    """True iff the 1-entries of the tuple mark the corners of a polygon.
-
-    Equivalently, every circular zero run is shorter than the threshold:
-    a run at the threshold would force a side of at least half the
-    perimeter.  Good tuples automatically have at least three 1s.
-    """
-    limit = bad_block_threshold(a.n)
-    return all(run < limit for run in zero_blocks(a))
-
-
-class SideLengths(_Record):
-    """Clockwise side lengths of an integer polygon.
-
-    Every side is a positive integer strictly below half the perimeter,
-    and there are at least three of them.
-    """
-
-    __slots__ = ("sides",)
-    sides: tuple[int, ...]
-
-    def __init__(self, sides: tuple[int, ...]) -> None:
-        if len(sides) < 3:
-            raise ValueError("a polygon has at least 3 sides")
-        p = sum(sides)
-        if any(s < 1 or 2 * s >= p for s in sides):
-            raise ValueError("each side must be a positive integer below half the perimeter")
-        object.__setattr__(self, "sides", sides)
-
-    def _key(self) -> tuple:
-        return (self.sides,)
-
-    @property
-    def m(self) -> int:
-        return len(self.sides)
-
-    @property
-    def perimeter(self) -> int:
-        return sum(self.sides)
-
-
-def to_sides(a: CircularTuple) -> SideLengths:
-    """Side lengths of the polygon with corners at the 1-positions.
-
-    Sides are the circular gaps between consecutive corners, read clockwise
-    starting from the smallest 1-position (a fixed convention so output is
-    reproducible).  A zero run of length l corresponds to a side of length
-    l+1.
-    """
-    if not is_good(a):
-        raise NotAPolygonError(f"{a} does not mark a polygon (weight {weight(a)}, "
-                               f"zero runs {zero_blocks(a)})")
-    corners = a.ones()
-    sides = [corners[i + 1] - corners[i] for i in range(len(corners) - 1)]
-    sides.append(a.n - corners[-1] + corners[0])
-    return SideLengths(tuple(sides))

@@ -324,6 +324,14 @@ def test_rotation_sum_is_divisible():
         assert total % n == 0
 
 
+def test_polygon_growth_law_is_exact():
+    # the paper's growth law p(n) ~ 2^(n-1) / n as an exact inequality, far
+    # beyond the oracle: the rotation terms with d > 1 add at most 2^(n/2) / 2
+    # to n p(n) - 2^(n-1), and the tails of the closed form at most 2^((n-3)/2)
+    for n, p in enumerate(census.polygon_values(3, 2000), 3):
+        assert abs(n * p - (1 << (n - 1))) <= n << (n // 2), n
+
+
 def test_asymptotic_coefficients():
     assert census.asymptotic_mgon_coefficient(5) == Fraction(11, 3840)
     assert census.asymptotic_mgon_coefficient(6) == Fraction(13, 23040)

@@ -2,6 +2,7 @@ import decimal
 import json
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -655,6 +656,31 @@ def test_process_bfile_out_leaves_the_whole_file(tmp_path, capsys):
     assert code == 0 and out.read_text() == expected and expected.count("\n") == 48
 
 
+def run_closed_stdout(*argv):
+    """`python -m perigon ARGV` in a fresh process started with standard
+    output closed, as the shell's `>&-` leaves it."""
+    cmd = ["sh", "-c", 'exec "$0" -m perigon "$@" >&-', sys.executable, *argv]
+    return subprocess.run(cmd, env=child_env(), capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv", [("count", "--n", "5"), ("verify", "--max-n", "5"),
+                                  ("bfile", "--family", "pn", "--end", "50")],
+                         ids=["count", "verify", "bfile"])
+def test_process_with_stdout_closed_is_a_usage_error(argv):
+    done = run_closed_stdout(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (2, "", "error: standard output is closed\n")
+
+
+def test_process_with_stdout_closed_writes_bfile_out(tmp_path, capsys):
+    out = tmp_path / "pn.txt"
+    done = run_closed_stdout("bfile", "--family", "pn", "--end", "50", "--out", str(out))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert os.listdir(tmp_path) == ["pn.txt"]
+    code, expected, _ = run(capsys, "bfile", "--family", "pn", "--end", "50")
+    assert code == 0 and out.read_text() == expected
+
+
 def test_main_returns_its_code_and_never_ends_the_process(capsys, monkeypatch):
     def ended(code):
         raise AssertionError(f"main ended the process with status {code}")
@@ -697,3 +723,26 @@ def test_import_loads_no_command_only_modules():
     loaded = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                             capture_output=True, text=True, timeout=60).stdout.split()
     assert loaded == []
+
+
+# ---------------------------------------------------------------------------
+# the README
+
+
+def test_readme_tour_states_its_values():
+    # the library tour, run line by line: a line whose comment starts with an
+    # integer states its expression's value, so a tour line that names a
+    # missing function or shows a stale value fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1]
+    namespace: dict = {}
+    checked = 0
+    for line in tour.split("```", 1)[0].splitlines():
+        code, _, comment = line.partition("#")
+        stated = re.match(r"\s*(\d+)\b", comment)
+        if stated:
+            assert eval(code, namespace) == int(stated.group(1)), line
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked >= 8

@@ -1,5 +1,4 @@
 import copy
-import itertools
 import pickle
 import random
 from collections import Counter
@@ -12,18 +11,12 @@ from perigon.model import (
     ElementKind,
     GroupElement,
     GroupKind,
-    NotAPolygonError,
-    SideLengths,
     apply,
     bad_block_threshold,
     classify,
     cyclic_group,
     dihedral_group,
     element_classes,
-    is_good,
-    to_sides,
-    weight,
-    zero_blocks,
 )
 
 
@@ -63,11 +56,6 @@ def test_text_round_trip():
         assert str(tup(text)) == text
 
 
-def test_ones_positions():
-    assert tup("1011000100").ones() == (0, 2, 3, 7)
-    assert tup("0000").ones() == ()
-
-
 # ---------------------------------------------------------------------------
 # the records: immutable values, equal and hashed by their fields
 
@@ -80,8 +68,6 @@ RECORDS = [
     (ElementClass(ElementKind.ROTATION, 3), ElementClass(kind=ElementKind.ROTATION, order=3),
      ElementClass(ElementKind.ROTATION, 4),
      "ElementClass(kind=<ElementKind.ROTATION: 'rotation'>, order=3)"),
-    (SideLengths((2, 3, 4)), SideLengths(sides=(2, 3, 4)), SideLengths((3, 3, 3)),
-     "SideLengths(sides=(2, 3, 4))"),
 ]
 
 
@@ -94,8 +80,6 @@ def test_record_construction_and_defaults():
     cls = ElementClass(ElementKind.IDENTITY)
     assert (cls.kind, cls.order) == (ElementKind.IDENTITY, None)
     assert ElementClass(ElementKind.ROTATION, order=6).order == 6
-    sides = SideLengths(sides=(2, 3, 4))
-    assert (sides.sides, sides.m, sides.perimeter) == ((2, 3, 4), 3, 9)
 
 
 @pytest.mark.parametrize("record, same, other, text", RECORDS)
@@ -108,7 +92,7 @@ def test_record_equality_hash_and_repr(record, same, other, text):
 
 
 def test_records_differ_across_classes():
-    assert CircularTuple((1, 1, 1)) != SideLengths((1, 1, 1))
+    assert GroupElement(5, 2) != ElementClass(ElementKind.ROTATION, 5)
     assert CircularTuple((1, 0, 1)) != (1, 0, 1)
     assert GroupElement(5, 2) != (5, 2, False)
     assert ElementClass(ElementKind.IDENTITY) != (ElementKind.IDENTITY, None)
@@ -145,11 +129,6 @@ def test_records_survive_pickle_and_copy(record, same, other, text):
     (lambda: ElementClass(ElementKind.REFLECTION_ODD, 2),
      "exactly the non-trivial rotation classes carry an order"),
     (lambda: ElementClass(ElementKind.ROTATION, 1), "rotation classes have order >= 2"),
-    (lambda: SideLengths((1, 1)), "a polygon has at least 3 sides"),
-    (lambda: SideLengths((1, 1, 2)),
-     "each side must be a positive integer below half the perimeter"),
-    (lambda: SideLengths((0, 1, 1, 1)),
-     "each side must be a positive integer below half the perimeter"),
 ])
 def test_record_validation_messages(build, message):
     with pytest.raises(ValueError) as caught:
@@ -199,19 +178,6 @@ def test_action_law():
             a = CircularTuple(tuple(rng.randrange(2) for _ in range(n)))
             assert apply(compose(s, t), a) == apply(s, apply(t, a))
             assert apply(GroupElement.rotation(n, 0), a) == a
-
-
-def test_action_preserves_weight_and_goodness():
-    # exhaustive over all tuples and all symmetries for small circles
-    for n in range(3, 13):
-        elems = list(dihedral_group(n))
-        for bits in itertools.product((0, 1), repeat=n):
-            a = CircularTuple(bits)
-            w, g = weight(a), is_good(a)
-            for sigma in elems:
-                b = apply(sigma, a)
-                assert weight(b) == w
-                assert is_good(b) == g
 
 
 def element_order(sigma):
@@ -296,58 +262,6 @@ def test_element_class_validation():
         ElementClass(ElementKind.IDENTITY, 2)
     with pytest.raises(ValueError):
         ElementClass.rotation(1)
-
-
-# ---------------------------------------------------------------------------
-# goodness, weight, sides
-
-
-def test_is_good_examples():
-    assert is_good(tup("1011000100"))
-    assert not is_good(tup("0011000100"))
-    assert is_good(tup("11111"))
-    assert not is_good(tup("00000"))
-
-
-def test_weight_examples():
-    assert weight(tup("0000000")) == 0
-    assert weight(tup("1011000100")) == 4
-    assert weight(tup("111111")) == 6
-
-
-def test_zero_blocks_wraps():
-    assert sorted(zero_blocks(tup("1011000100"))) == [1, 2, 3]
-    assert sorted(zero_blocks(tup("0011000100"))) == [3, 4]
-    assert zero_blocks(tup("0000")) == [4]
-    assert zero_blocks(tup("1111")) == []
-
-
-def test_to_sides_examples():
-    assert to_sides(tup("1011000100")).sides == (2, 1, 4, 3)
-    assert to_sides(tup("11111")).sides == (1, 1, 1, 1, 1)
-    with pytest.raises(NotAPolygonError):
-        to_sides(tup("0011000100"))
-    with pytest.raises(NotAPolygonError):
-        to_sides(tup("110000"))
-
-
-def test_goodness_matches_side_gap_characterisation():
-    # a zero run of length l is a side of length l+1; good means all gaps < n/2
-    for n in range(3, 13):
-        for bits in itertools.product((0, 1), repeat=n):
-            a = CircularTuple(bits)
-            ones = a.ones()
-            if len(ones) >= 3:
-                gaps = [b - x for x, b in zip(ones, ones[1:])]
-                gaps.append(n - ones[-1] + ones[0])
-                assert is_good(a) == all(2 * g < n for g in gaps)
-                if is_good(a):
-                    s = to_sides(a)
-                    assert s.m == weight(a)
-                    assert s.perimeter == n
-                    assert sorted(g - 1 for g in gaps if g > 1) == sorted(zero_blocks(a))
-            else:
-                assert not is_good(a)
 
 
 def test_bad_block_threshold():

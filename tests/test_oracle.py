@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from perigon import oracle
 from perigon.census import count_mgons, count_mgons_cyclic
 from perigon.model import CircularTuple, GroupElement, apply, cyclic_group, dihedral_group
 from perigon.oracle import (
@@ -56,21 +57,42 @@ def test_canonical_form_is_orbit_minimum():
 def test_orbit_minima_mask_marks_the_explicit_minima():
     # the least of each orbit by model.apply over the whole group, tuple by
     # tuple, against the oracle's mask: exactly the minima for small n, and
-    # for random tuples up to n = 20 the minimum is the one member set
-    for n in range(3, 9):
-        everything = [CircularTuple.from_text(format(x, f"0{n}b")) for x in range(1 << n)]
-        for kind, group in GROUPS:
-            minima = {min((apply(g, a) for g in group(n)), key=lambda t: t.bits)
-                      for a in everything}
-            assert {a for a in everything if is_orbit_minimum(a, kind)} == minima
+    # for random tuples up to n = 20 the minimum is the one member set; each
+    # group is asked for first once, since the dihedral mask reads the cyclic one
     rng = random.Random(406)
-    for n in range(9, 21):
-        for _ in range(5):
-            a = CircularTuple(tuple(rng.randrange(2) for _ in range(n)))
-            for kind, group in GROUPS:
-                orbit = {apply(g, a) for g in group(n)}
-                least = min(orbit, key=lambda t: t.bits)
-                assert [b for b in orbit if is_orbit_minimum(b, kind)] == [least]
+    for order in (GROUPS, GROUPS[::-1]):
+        for n in range(3, 9):
+            oracle._SCAN.clear()
+            everything = [CircularTuple.from_text(format(x, f"0{n}b")) for x in range(1 << n)]
+            for kind, group in order:
+                minima = {min((apply(g, a) for g in group(n)), key=lambda t: t.bits)
+                          for a in everything}
+                assert {a for a in everything if is_orbit_minimum(a, kind)} == minima
+        for n in range(9, 21):
+            oracle._SCAN.clear()
+            for _ in range(5):
+                a = CircularTuple(tuple(rng.randrange(2) for _ in range(n)))
+                for kind, group in order:
+                    orbit = {apply(g, a) for g in group(n)}
+                    least = min(orbit, key=lambda t: t.bits)
+                    assert [b for b in orbit if is_orbit_minimum(b, kind)] == [least]
+
+
+@pytest.mark.parametrize("groups, compares", [
+    ((GroupKind.CYCLIC,), 1), ((GroupKind.DIHEDRAL,), 2),
+    ((GroupKind.DIHEDRAL, GroupKind.CYCLIC), 2), ((GroupKind.CYCLIC, GroupKind.DIHEDRAL), 2)],
+    ids=["cyclic", "dihedral", "dihedral-then-cyclic", "cyclic-then-dihedral"])
+def test_orbit_minima_run_each_group_element_once(monkeypatch, groups, compares):
+    # the rotations run once for both groups; a cyclic count stops after them
+    calls = []
+    real = oracle._compare
+    monkeypatch.setattr(oracle, "_compare", lambda *args: calls.append(args[2]) or real(*args))
+    for n in (7, 12):
+        oracle._SCAN.clear()
+        for kind in groups:
+            orbit_count(n, kind)
+        assert len(calls) == compares * n and len(set(calls)) == len(calls)
+        calls.clear()
 
 
 def test_orbit_counts_at_n20_equal_closed_forms():
