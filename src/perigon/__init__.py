@@ -8,8 +8,6 @@ and a brute-force orbit-counting oracle.
 from .census import (
     InternalError,
     asymptotic_mgon_coefficient,
-    asymptotic_mgons,
-    asymptotic_polygons,
     count_mgons,
     count_mgons_cyclic,
     count_mgons_via_burnside,
@@ -37,7 +35,6 @@ from .oracle import (
     ORACLE_MAX_N,
     TupleSet,
     canonical_form,
-    fix_count_direct,
     orbit_count,
 )
 

@@ -61,8 +61,6 @@ if TYPE_CHECKING:
 __all__ = [
     "InternalError",
     "asymptotic_mgon_coefficient",
-    "asymptotic_mgons",
-    "asymptotic_polygons",
     "count_mgons",
     "count_mgons_cyclic",
     "count_mgons_via_burnside",
@@ -459,16 +457,6 @@ def quadrilaterals_piecewise(n: int) -> int:
 # leading-order growth
 
 
-def asymptotic_polygons(n: int) -> Fraction:
-    """Leading-order estimate 2^(n-1)/n of the polygon count, as an exact
-    rational (diagnostic use; ratios against it may be floated)."""
-    from fractions import Fraction
-
-    if n < 3:
-        raise ValueError(f"perimeter must be at least 3, got {n}")
-    return Fraction(2 ** (n - 1), n)
-
-
 def asymptotic_mgon_coefficient(m: int) -> Fraction:
     """Coefficient c(m) with the m-gon count growing like c(m) * n^(m-1)."""
     from fractions import Fraction
@@ -476,10 +464,3 @@ def asymptotic_mgon_coefficient(m: int) -> Fraction:
     if m < 3:
         raise ValueError(f"side count must be at least 3, got {m}")
     return Fraction(2 ** (m - 1) - m, 2**m * factorial(m))
-
-
-def asymptotic_mgons(m: int, n: int) -> Fraction:
-    """Leading-order estimate c(m) * n^(m-1) of the m-gon count at perimeter n."""
-    if n < 3:
-        raise ValueError(f"perimeter must be at least 3, got {n}")
-    return asymptotic_mgon_coefficient(m) * n ** (m - 1)

@@ -157,10 +157,12 @@ def _fmt_count(v) -> str:
     return str(v)
 
 
-def _evaluate_count(n: int, m: int | None, cyclic: bool, method: str):
+def _evaluate_count(n: int, m: int | None, cyclic: bool, method: str,
+                    scan: oracle.Scan | None = None):
     """The count by one route: an int, or a Decimal for a closed-form
     polygon count when n passes _decimal_path (the count has fewer than n
-    bits, so every count that would take the decimal path does)."""
+    bits, so every count that would take the decimal path does).  The
+    oracle reads a held scan of perimeter n when given one."""
     if method == "closed":
         if m is None:
             if _decimal_path(n):
@@ -172,7 +174,7 @@ def _evaluate_count(n: int, m: int | None, cyclic: bool, method: str):
         if m is None:
             return census.count_polygons_via_burnside(n, group)
         return census.count_mgons_via_burnside(n, m, group)
-    return oracle.orbit_count(n, group, weight=m)
+    return oracle.orbit_count(n, group, weight=m) if scan is None else scan.orbit_count(group, m)
 
 
 METHOD_NAMES = {"closed": "closed-form", "burnside": "burnside", "oracle": "oracle"}
@@ -345,20 +347,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks.append(entry)
 
     for n in range(3, max_n + 1):
+        scan = oracle.Scan(n)  # every oracle answer at this n; dropped before the next
         for m in (None, *range(3, n + 1)):
             for cyclic, method in ((False, "burnside"), (False, "oracle"), (True, "oracle")):
                 subject = ("polygons" if m is None else "mgons") + ("-cyclic" if cyclic else "")
                 record({"n": n, "m": m, "subject": subject,
                         "pair": [METHOD_NAMES["closed"], METHOD_NAMES[method]]},
                        _evaluate_count(n, m, cyclic, "closed"),
-                       _evaluate_count(n, m, cyclic, method))
+                       _evaluate_count(n, m, cyclic, method, scan))
 
         # fixed-set formulas per element class, plus same-count within a class
         seen: dict[model.ElementClass, int] = {}
         independent = True
         for sigma in model.dihedral_group(n):
             cls = model.classify(sigma)
-            direct_good = oracle.fix_count_direct(n, sigma, oracle.TupleSet.GOOD)
+            fixed = scan.fixed(sigma)
+            direct_good = scan.count(fixed, oracle.TupleSet.GOOD)
             if cls not in seen:
                 seen[cls] = direct_good
                 record({"n": n, "m": None, "subject": "fix-polygons",
@@ -367,14 +371,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 record({"n": n, "m": None, "subject": "fix-partition",
                         "class": str(cls), "pair": ["good", "all-minus-bad"]},
                        direct_good,
-                       oracle.fix_count_direct(n, sigma, oracle.TupleSet.ALL)
-                       - oracle.fix_count_direct(n, sigma, oracle.TupleSet.BAD))
+                       scan.count(fixed, oracle.TupleSet.ALL)
+                       - scan.count(fixed, oracle.TupleSet.BAD))
                 for m in range(3, n + 1):
                     record({"n": n, "m": m, "subject": "fix-mgons",
                             "class": str(cls), "pair": ["formula", "direct"]},
                            fixcount.fix_mgons(n, m, cls),
-                           oracle.fix_count_direct(n, sigma, oracle.TupleSet.GOOD,
-                                                   weight=m))
+                           scan.count(fixed, oracle.TupleSet.GOOD, weight=m))
             elif seen[cls] != direct_good:
                 independent = False
         record({"n": n, "m": None, "subject": "fix-class-independence",
@@ -390,11 +393,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 orbit = {model.apply(g, a) for g in model.dihedral_group(n)
                          if kind is model.GroupKind.DIHEDRAL or not g.is_reflection}
                 least = min(orbit, key=lambda t: t.bits)
-                if ([b for b in orbit if oracle.is_orbit_minimum(b, kind)] != [least]
+                if ([b for b in orbit if scan.is_minimum(b, kind)] != [least]
                         or any(oracle.canonical_form(b, kind) != least for b in orbit)):
                     probes_ok = False
         record({"n": n, "m": None, "subject": "canonical-probes",
                 "pair": ["oracle", "oracle"]}, probes_ok, True)
+        del scan, fixed  # never two perimeters' masks at once: 110 MB at n = 24
 
     report = {
         "schema": VERIFY_SCHEMA,
@@ -442,8 +446,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        if file is None and sys.stdout is None:  # argparse would fall back to stderr
+            self.exit(EXIT_USAGE, "error: standard output is closed\n")
+        super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="perigon",
         description="Exact census of integer polygons and m-gons by perimeter.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,6 +8,11 @@ lexicographic comparator over them marks the least tuple of every orbit.
 Every count here is the popcount of such a mask.  Tuples are packed with
 position 0 in the top bit, so integer order is lexicographic order.
 
+The masks of one perimeter live in a Scan, which its caller builds, asks
+every question at that n (orbit counts, orbit minima, fixed sets and their
+counts) and drops; the module keeps no state between calls.  orbit_count
+and canonical_form answer one question each without a held scan.
+
 The duplication of the formula modules is deliberate and lives here.  No
 arithmetic is shared with census, fixcount or numtheory (no divisors,
 totients, binomials or group averages), and goodness is stated twice,
@@ -26,15 +31,15 @@ from .model import CircularTuple, GroupElement, GroupKind, bad_block_threshold, 
 __all__ = [
     "ORACLE_MAX_N",
     "GroupKind",
+    "Scan",
     "TupleSet",
     "canonical_form",
-    "fix_count_direct",
-    "is_orbit_minimum",
     "orbit_count",
 ]
 
-# measured with Python 3.11.7 on 2 vCPUs: `verify --max-n 24` runs in 13-14 s
-# end to end with a peak RSS of 171 MB; each +1 doubles both
+# measured with Python 3.11.7 on 2 vCPUs: `verify --max-n 24` runs in 15-16 s
+# end to end with a peak RSS of 155-173 MB, as the C heap places the 2 MB masks
+# (tracemalloc's peak is 128 MB); each +1 doubles both
 ORACLE_MAX_N = 24
 
 
@@ -106,24 +111,28 @@ def _compare(columns: list[int], full: int, sigma: GroupElement) -> tuple[int, i
     return less, equal
 
 
-class _Scan:
-    """The masks over all packed n-tuples that the counts are read from."""
+class Scan:
+    """The masks over all packed n-tuples that the counts are read from.
+
+    The caller builds one per perimeter, asks it every question at that n
+    and drops it; nothing outlives the last reference.  At n = 24 the masks
+    take about 110 MB, so drop one scan before building the next."""
 
     def __init__(self, n: int):
+        _check_scale(n)
         self.n, self.full = n, (1 << (1 << n)) - 1
         self.weights, self.columns = _weights(n), _columns(n)
         self.subsets = {TupleSet.ALL: self.full,
                         TupleSet.GOOD: _good_mask(n, self.columns, self.full),
                         TupleSet.BAD: _bad_mask(n, self.columns, self.full)}
         self._minima: dict[GroupKind, int] = {}
-        self._fixed: tuple[GroupElement | None, int] = (None, 0)  # the last element asked for
 
-    def minima(self, group: GroupKind) -> int:
+    def _least(self, group: GroupKind) -> int:
         """Mask of the tuples x with x <= g.x for every g: the orbit minima.
         The dihedral minima are the cyclic ones that no reflection undercuts."""
         if group not in self._minima:
             if group is GroupKind.DIHEDRAL:
-                least = self.minima(GroupKind.CYCLIC)
+                least = self._least(GroupKind.CYCLIC)
                 elements = (GroupElement.reflection(self.n, q) for q in range(self.n))
             else:
                 least, elements = self.full, cyclic_group(self.n)
@@ -133,21 +142,42 @@ class _Scan:
             self._minima[group] = least
         return self._minima[group]
 
+    def orbit_count(self, group: GroupKind, weight: int | None = None) -> int:
+        """Number of orbits of good n-tuples under the group, counted directly
+        as good orbit minima (no group-averaging involved).
+
+        With a weight filter m this is the m-gon census (0 outside 3 <= m <= n);
+        without, the polygon census.
+        """
+        if weight is not None and not 3 <= weight <= self.n:
+            return 0
+        return self.count(self._least(group), TupleSet.GOOD, weight)
+
+    def is_minimum(self, a: CircularTuple, group: GroupKind) -> bool:
+        """True iff a is the least tuple of its orbit, read from the exhaustive
+        orbit-minima mask, which holds exactly one member of every orbit."""
+        if a.n != self.n:
+            raise ValueError(f"tuple has {a.n} positions, scan is over {self.n}")
+        return bool(self._least(group) >> int(str(a), 2) & 1)
+
     def fixed(self, sigma: GroupElement) -> int:
-        """Mask of the tuples that sigma fixes."""
-        if self._fixed[0] != sigma:
-            self._fixed = (sigma, _compare(self.columns, self.full, sigma)[1])
-        return self._fixed[1]
+        """Mask of the tuples that sigma fixes; read counts from it with count."""
+        if sigma.n != self.n:
+            raise ValueError(f"element acts on {sigma.n} points, scan is over {self.n}")
+        return _compare(self.columns, self.full, sigma)[1]
 
+    def count(self, mask: int, subset: TupleSet, weight: int | None = None) -> int:
+        """Number of the tuples in mask that are in the chosen subset and, with
+        a weight filter m, have m corners.
 
-_SCAN: list[_Scan] = []  # one perimeter's masks at a time: about 110 MB at n = 24
-
-
-def _scan(n: int) -> _Scan:
-    if not _SCAN or _SCAN[0].n != n:
-        _SCAN.clear()  # free the old masks before building the new ones
-        _SCAN.append(_Scan(n))
-    return _SCAN[0]
+        Good tuples are found by the corner-gap test and bad ones by the
+        model's zero-run rule, so the check that good and bad add up to all
+        tuples compares two goodness rules; `verify` and the tests lean on it.
+        """
+        if weight is not None and not 0 <= weight <= self.n:
+            raise ValueError(f"weight filter must satisfy 0 <= m <= n, got m={weight}")
+        found = mask & self.subsets[subset]
+        return (found if weight is None else found & self.weights[weight]).bit_count()
 
 
 def canonical_form(a: CircularTuple, group: GroupKind) -> CircularTuple:
@@ -162,41 +192,9 @@ def canonical_form(a: CircularTuple, group: GroupKind) -> CircularTuple:
     return CircularTuple.from_text(min(t[q:] + t[:q] for t in texts for q in range(a.n)))
 
 
-def is_orbit_minimum(a: CircularTuple, group: GroupKind) -> bool:
-    """True iff a is the least tuple of its orbit, read from the exhaustive
-    orbit-minima mask, which holds exactly one member of every orbit."""
-    _check_scale(a.n)
-    return bool(_scan(a.n).minima(group) >> int(str(a), 2) & 1)
-
-
 def orbit_count(n: int, group: GroupKind, weight: int | None = None) -> int:
-    """Number of orbits of good n-tuples under the group, counted directly
-    as good orbit minima (no group-averaging involved).
-
-    With a weight filter m this is the m-gon census (0 outside 3 <= m <= n);
-    without, the polygon census.
-    """
+    """Scan.orbit_count at perimeter n, from a scan built for this call alone
+    (0 outside 3 <= m <= n, with no scan built)."""
     if weight is not None and not 3 <= weight <= n:
         return 0
-    _check_scale(n)
-    scan = _scan(n)
-    found = scan.minima(group) & scan.subsets[TupleSet.GOOD]
-    return (found if weight is None else found & scan.weights[weight]).bit_count()
-
-
-def fix_count_direct(n: int, sigma: GroupElement, subset: TupleSet,
-                     weight: int | None = None) -> int:
-    """Exhaustive count of the tuples in the chosen subset fixed by sigma.
-
-    Good tuples are found by the corner-gap test and bad ones by the
-    model's zero-run rule, so the check that good and bad add up to all
-    tuples compares two goodness rules; `verify` and the tests lean on it.
-    """
-    _check_scale(n)
-    if sigma.n != n:
-        raise ValueError(f"element acts on {sigma.n} points, scan is over {n}")
-    if weight is not None and not 0 <= weight <= n:
-        raise ValueError(f"weight filter must satisfy 0 <= m <= n, got m={weight}")
-    scan = _scan(n)
-    found = scan.fixed(sigma) & scan.subsets[subset]
-    return (found if weight is None else found & scan.weights[weight]).bit_count()
+    return Scan(n).orbit_count(group, weight)

@@ -422,19 +422,28 @@ def test_verify_fix_partition_compares_two_goodness_rules(capsys, monkeypatch):
         return good & ~(1 << 0b111111) if n == 6 else good
 
     monkeypatch.setattr(oracle, "_good_mask", broken)
-    try:
-        oracle._SCAN.clear()
-        identity = model.GroupElement.rotation(6, 0)
-        good, bad, everything = (oracle.fix_count_direct(6, identity, subset) for subset in
-                                 (oracle.TupleSet.GOOD, oracle.TupleSet.BAD, oracle.TupleSet.ALL))
-        assert good != everything - bad
-        code, out, _ = run(capsys, "verify", "--max-n", "6")
-        assert code == 1
-        partition = [c for c in json.loads(out)["checks"]
-                     if c["subject"] == "fix-partition" and c["n"] == 6]
-        assert partition and not any(c["agree"] for c in partition)
-    finally:
-        oracle._SCAN.clear()
+    scan = oracle.Scan(6)
+    identity = scan.fixed(model.GroupElement.rotation(6, 0))
+    good, bad, everything = (scan.count(identity, subset) for subset in
+                             (oracle.TupleSet.GOOD, oracle.TupleSet.BAD, oracle.TupleSet.ALL))
+    assert good != everything - bad
+    code, out, _ = run(capsys, "verify", "--max-n", "6")
+    assert code == 1
+    partition = [c for c in json.loads(out)["checks"]
+                 if c["subject"] == "fix-partition" and c["n"] == 6]
+    assert partition and not any(c["agree"] for c in partition)
+
+
+def test_verify_runs_one_comparator_per_element_and_group(capsys, monkeypatch):
+    # each of the 66 elements of the dihedral groups for n = 3..8 is compared
+    # twice: once for the orbit minima and once for its fixed set, whose
+    # mask gives the good, all-minus-bad and per-weight counts
+    calls = []
+    real = oracle._compare
+    monkeypatch.setattr(oracle, "_compare", lambda *args: calls.append(args[2]) or real(*args))
+    code, _, _ = run(capsys, "verify", "--max-n", "8")
+    assert code == 0
+    assert len(calls) == 132 and len(set(calls)) == 66
 
 
 def test_verify_seed_is_deterministic(capsys):
@@ -664,8 +673,9 @@ def run_closed_stdout(*argv):
 
 
 @pytest.mark.parametrize("argv", [("count", "--n", "5"), ("verify", "--max-n", "5"),
-                                  ("bfile", "--family", "pn", "--end", "50")],
-                         ids=["count", "verify", "bfile"])
+                                  ("bfile", "--family", "pn", "--end", "50"), ("--help",),
+                                  ("count", "--help")],
+                         ids=["count", "verify", "bfile", "help", "count-help"])
 def test_process_with_stdout_closed_is_a_usage_error(argv):
     done = run_closed_stdout(*argv)
     assert (done.returncode, done.stdout, done.stderr) == \

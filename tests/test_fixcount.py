@@ -2,7 +2,7 @@ import pytest
 
 from perigon.fixcount import fix_mgons, fix_polygons
 from perigon.model import ElementClass, GroupKind, classify, dihedral_group, element_classes
-from perigon.oracle import TupleSet, fix_count_direct
+from perigon.oracle import Scan, TupleSet
 
 
 def test_fix_polygons_examples():
@@ -40,12 +40,12 @@ def test_rejects_m_out_of_range():
 def test_matches_exhaustive_scan():
     # every element of the symmetry group on up to 16 points, every weight
     for n in range(3, 17):
+        scan = Scan(n)
         for sigma in dihedral_group(n):
-            cls = classify(sigma)
-            assert fix_polygons(n, cls) == fix_count_direct(n, sigma, TupleSet.GOOD)
+            cls, fixed = classify(sigma), scan.fixed(sigma)
+            assert fix_polygons(n, cls) == scan.count(fixed, TupleSet.GOOD)
             for m in range(3, n + 1):
-                assert fix_mgons(n, m, cls) == fix_count_direct(
-                    n, sigma, TupleSet.GOOD, weight=m)
+                assert fix_mgons(n, m, cls) == scan.count(fixed, TupleSet.GOOD, weight=m)
 
 
 def test_column_sums():
@@ -59,8 +59,8 @@ def test_column_sums():
 def test_class_independence():
     # every element of one class fixes the same number of good tuples
     for n in range(3, 15):
-        by_class = {}
+        scan, by_class = Scan(n), {}
         for sigma in dihedral_group(n):
             cls = classify(sigma)
-            count = fix_count_direct(n, sigma, TupleSet.GOOD)
+            count = scan.count(scan.fixed(sigma), TupleSet.GOOD)
             assert by_class.setdefault(cls, count) == count, (n, str(sigma))

@@ -1,18 +1,18 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from perigon import oracle
-from perigon.census import count_mgons, count_mgons_cyclic
+from perigon.census import count_mgons, count_mgons_cyclic, count_polygons
 from perigon.model import CircularTuple, GroupElement, apply, cyclic_group, dihedral_group
 from perigon.oracle import (
     ORACLE_MAX_N,
     GroupKind,
+    Scan,
     TupleSet,
     canonical_form,
-    fix_count_direct,
-    is_orbit_minimum,
     orbit_count,
 )
 
@@ -62,20 +62,20 @@ def test_orbit_minima_mask_marks_the_explicit_minima():
     rng = random.Random(406)
     for order in (GROUPS, GROUPS[::-1]):
         for n in range(3, 9):
-            oracle._SCAN.clear()
+            scan = Scan(n)
             everything = [CircularTuple.from_text(format(x, f"0{n}b")) for x in range(1 << n)]
             for kind, group in order:
                 minima = {min((apply(g, a) for g in group(n)), key=lambda t: t.bits)
                           for a in everything}
-                assert {a for a in everything if is_orbit_minimum(a, kind)} == minima
+                assert {a for a in everything if scan.is_minimum(a, kind)} == minima
         for n in range(9, 21):
-            oracle._SCAN.clear()
+            scan = Scan(n)
             for _ in range(5):
                 a = CircularTuple(tuple(rng.randrange(2) for _ in range(n)))
                 for kind, group in order:
                     orbit = {apply(g, a) for g in group(n)}
                     least = min(orbit, key=lambda t: t.bits)
-                    assert [b for b in orbit if is_orbit_minimum(b, kind)] == [least]
+                    assert [b for b in orbit if scan.is_minimum(b, kind)] == [least]
 
 
 @pytest.mark.parametrize("groups, compares", [
@@ -88,17 +88,32 @@ def test_orbit_minima_run_each_group_element_once(monkeypatch, groups, compares)
     real = oracle._compare
     monkeypatch.setattr(oracle, "_compare", lambda *args: calls.append(args[2]) or real(*args))
     for n in (7, 12):
-        oracle._SCAN.clear()
+        scan = Scan(n)
         for kind in groups:
-            orbit_count(n, kind)
+            scan.orbit_count(kind)
         assert len(calls) == compares * n and len(set(calls)) == len(calls)
         calls.clear()
 
 
+def test_orbit_count_keeps_nothing():
+    # a module-level count builds its scan and drops it: about 1.3 MB of
+    # masks at n = 18, none of which may outlive the call
+    orbit_count(5, GroupKind.DIHEDRAL)  # first-call allocations outside the measure
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert orbit_count(18, GroupKind.DIHEDRAL) == count_polygons(18)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024, f"{kept} bytes kept after the call"
+
+
 def test_orbit_counts_at_n20_equal_closed_forms():
+    scan = Scan(20)
     for m in range(3, 21):
-        assert orbit_count(20, GroupKind.DIHEDRAL, weight=m) == count_mgons(20, m)
-        assert orbit_count(20, GroupKind.CYCLIC, weight=m) == count_mgons_cyclic(20, m)
+        assert scan.orbit_count(GroupKind.DIHEDRAL, weight=m) == count_mgons(20, m)
+        assert scan.orbit_count(GroupKind.CYCLIC, weight=m) == count_mgons_cyclic(20, m)
 
 
 def test_orbit_count_examples():
@@ -107,46 +122,51 @@ def test_orbit_count_examples():
     assert orbit_count(5, GroupKind.CYCLIC, weight=5) == 1
 
 
-def test_fix_count_direct_examples():
-    identity = GroupElement.rotation(4, 0)
-    assert fix_count_direct(4, identity, TupleSet.ALL) == 16
-    assert fix_count_direct(4, identity, TupleSet.GOOD) == 1
-    half_turn = GroupElement.rotation(6, 3)
-    assert fix_count_direct(6, half_turn, TupleSet.GOOD) == 4
+def test_fixed_mask_counts_examples():
+    scan = Scan(4)
+    identity = scan.fixed(GroupElement.rotation(4, 0))
+    assert scan.count(identity, TupleSet.ALL) == 16
+    assert scan.count(identity, TupleSet.GOOD) == 1
+    scan = Scan(6)
+    assert scan.count(scan.fixed(GroupElement.rotation(6, 3)), TupleSet.GOOD) == 4
 
 
 def test_good_plus_bad_is_all():
     for n in range(3, 15):
+        scan = Scan(n)
         for sigma in dihedral_group(n):
-            good = fix_count_direct(n, sigma, TupleSet.GOOD)
-            bad = fix_count_direct(n, sigma, TupleSet.BAD)
-            assert good + bad == fix_count_direct(n, sigma, TupleSet.ALL)
+            fixed = scan.fixed(sigma)
+            good = scan.count(fixed, TupleSet.GOOD)
+            bad = scan.count(fixed, TupleSet.BAD)
+            assert good + bad == scan.count(fixed, TupleSet.ALL)
             for m in range(0, n + 1):
-                assert (fix_count_direct(n, sigma, TupleSet.GOOD, weight=m)
-                        + fix_count_direct(n, sigma, TupleSet.BAD, weight=m)
-                        == fix_count_direct(n, sigma, TupleSet.ALL, weight=m))
+                assert (scan.count(fixed, TupleSet.GOOD, weight=m)
+                        + scan.count(fixed, TupleSet.BAD, weight=m)
+                        == scan.count(fixed, TupleSet.ALL, weight=m))
 
 
 def test_orbit_count_matches_group_average():
     # direct canonical-form counting equals the fixed-set average
     for n in range(3, 15):
+        scan = Scan(n)
         for kind, elements in ((GroupKind.DIHEDRAL, list(dihedral_group(n))),
                                (GroupKind.CYCLIC,
                                 [s for s in dihedral_group(n) if not s.is_reflection])):
-            total = sum(fix_count_direct(n, s, TupleSet.GOOD) for s in elements)
+            fixed = [scan.fixed(s) for s in elements]
+            total = sum(scan.count(f, TupleSet.GOOD) for f in fixed)
             assert total % len(elements) == 0
-            assert orbit_count(n, kind) == total // len(elements)
+            assert scan.orbit_count(kind) == total // len(elements)
             for m in range(3, n + 1):
-                fixed = sum(fix_count_direct(n, s, TupleSet.GOOD, weight=m)
-                            for s in elements)
-                assert orbit_count(n, kind, weight=m) == fixed // len(elements)
+                total = sum(scan.count(f, TupleSet.GOOD, weight=m) for f in fixed)
+                assert scan.orbit_count(kind, weight=m) == total // len(elements)
 
 
 def test_identity_weight_counts_are_binomials():
     for n in range(3, 15):
-        identity = GroupElement.rotation(n, 0)
+        scan = Scan(n)
+        identity = scan.fixed(GroupElement.rotation(n, 0))
         for m in range(0, n + 1):
-            assert fix_count_direct(n, identity, TupleSet.ALL, weight=m) == math.comb(n, m)
+            assert scan.count(identity, TupleSet.ALL, weight=m) == math.comb(n, m)
 
 
 def test_scale_bound():
@@ -157,12 +177,18 @@ def test_scale_bound():
     with pytest.raises(ValueError):
         canonical_form(CircularTuple((0, 1) * 14), GroupKind.DIHEDRAL)
     with pytest.raises(ValueError):
-        fix_count_direct(30, GroupElement.rotation(30, 0), TupleSet.ALL)
+        Scan(30)
+    with pytest.raises(ValueError):
+        Scan(2)
 
 
 def test_weight_filter_validation():
     assert orbit_count(8, GroupKind.DIHEDRAL, weight=2) == 0
+    scan = Scan(8)
+    assert scan.orbit_count(GroupKind.DIHEDRAL, weight=9) == 0
     with pytest.raises(ValueError):
-        fix_count_direct(8, GroupElement.rotation(8, 0), TupleSet.ALL, weight=9)
+        scan.count(scan.full, TupleSet.ALL, weight=9)
     with pytest.raises(ValueError):
-        fix_count_direct(8, GroupElement.rotation(6, 0), TupleSet.ALL)
+        scan.fixed(GroupElement.rotation(6, 0))
+    with pytest.raises(ValueError):
+        scan.is_minimum(tup("0101"), GroupKind.DIHEDRAL)
