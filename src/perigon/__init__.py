@@ -15,7 +15,6 @@ from .census import (
     count_polygons_cyclic,
     count_polygons_via_burnside,
     quadrilaterals_nearest,
-    quadrilaterals_piecewise,
     triangles_nearest,
 )
 from .fixcount import fix_mgons, fix_polygons

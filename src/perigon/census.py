@@ -72,7 +72,6 @@ __all__ = [
     "polygon_decimal",
     "polygon_values",
     "quadrilaterals_nearest",
-    "quadrilaterals_piecewise",
     "triangles_nearest",
 ]
 
@@ -435,22 +434,6 @@ def quadrilaterals_nearest(n: int) -> int:
     else:
         cubic = n**3 - 7 * n
     return _nearest_quotient(cubic, 96)
-
-
-def quadrilaterals_piecewise(n: int) -> int:
-    """Exact quadrilateral count: one cubic polynomial per residue of n mod 4."""
-    if n < 1:
-        raise ValueError(f"perimeter must be positive, got {n}")
-    r = n % 4
-    if r == 0:
-        cubic = n**3 - 3 * n**2 + 20 * n
-    elif r == 1:
-        cubic = n**3 - 7 * n + 6
-    elif r == 2:
-        cubic = n**3 - 3 * n**2 + 20 * n - 36
-    else:
-        cubic = n**3 - 7 * n - 6
-    return _exact_div(cubic, 96, "piecewise quadrilateral value (n={})", n)
 
 
 # ---------------------------------------------------------------------------

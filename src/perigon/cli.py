@@ -27,7 +27,7 @@ TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start
 if TYPE_CHECKING:
     from typing import NoReturn
 
-__all__ = ["main", "run"]
+__all__ = ["main", "run", "verify_checks"]
 
 REPORT_SCHEMA = "perigon-report/1"
 VERIFY_SCHEMA = "perigon-verify/1"
@@ -321,9 +321,84 @@ def _write_chunks(out, lines) -> None:
 # verify
 
 
+def verify_checks(max_n: int, seed: int, probes: int):
+    """The checks of `verify` for perimeters 3..max_n, one record at a time:
+    `n`, `m`, `subject`, `class` for a fixed-set check, `pair` (the two
+    sides compared), `agree`, and `values` (both sides) when they differ.
+    `seed` fixes the randomized probes, `probes` of them per perimeter."""
+    import random
+
+    rng = random.Random(seed)
+    for n in range(3, max_n + 1):
+        yield from _checks_at(n, rng, probes)
+
+
+def _check(entry: dict, lhs, rhs) -> dict:
+    entry["agree"] = lhs == rhs
+    if not entry["agree"]:
+        entry["values"] = [str(lhs), str(rhs)]
+    return entry
+
+
+def _checks_at(n: int, rng, probes: int):
+    """The checks at perimeter n.  This frame holds the one oracle scan of n,
+    which goes when the checks end: never two perimeters' masks at once,
+    110 MB at n = 24."""
+    scan = oracle.Scan(n)
+    for m in (None, *range(3, n + 1)):
+        for cyclic, method in ((False, "burnside"), (False, "oracle"), (True, "oracle")):
+            subject = ("polygons" if m is None else "mgons") + ("-cyclic" if cyclic else "")
+            yield _check({"n": n, "m": m, "subject": subject,
+                          "pair": [METHOD_NAMES["closed"], METHOD_NAMES[method]]},
+                         _evaluate_count(n, m, cyclic, "closed"),
+                         _evaluate_count(n, m, cyclic, method, scan))
+
+    # fixed-set formulas per element class, plus same-count within a class
+    seen: dict[model.ElementClass, int] = {}
+    independent = True
+    for sigma in model.dihedral_group(n):
+        cls = model.classify(sigma)
+        fixed = scan.fixed(sigma)
+        direct_good = scan.count(fixed, oracle.TupleSet.GOOD)
+        if cls not in seen:
+            seen[cls] = direct_good
+            yield _check({"n": n, "m": None, "subject": "fix-polygons",
+                          "class": str(cls), "pair": ["formula", "direct"]},
+                         fixcount.fix_polygons(n, cls), direct_good)
+            yield _check({"n": n, "m": None, "subject": "fix-partition",
+                          "class": str(cls), "pair": ["good", "all-minus-bad"]},
+                         direct_good,
+                         scan.count(fixed, oracle.TupleSet.ALL)
+                         - scan.count(fixed, oracle.TupleSet.BAD))
+            for m in range(3, n + 1):
+                yield _check({"n": n, "m": m, "subject": "fix-mgons",
+                              "class": str(cls), "pair": ["formula", "direct"]},
+                             fixcount.fix_mgons(n, m, cls),
+                             scan.count(fixed, oracle.TupleSet.GOOD, weight=m))
+        elif seen[cls] != direct_good:
+            independent = False
+    yield _check({"n": n, "m": None, "subject": "fix-class-independence",
+                  "pair": ["direct", "direct"]}, independent, True)
+
+    # randomized canonical-form probes: every member of a random tuple's
+    # orbit has the explicit orbit minimum as its canonical form, and the
+    # minimum is the one member set in the oracle's orbit-minima mask
+    probes_ok = True
+    for _ in range(probes):
+        a = model.CircularTuple(tuple(rng.randrange(2) for _ in range(n)))
+        for kind in model.GroupKind:
+            orbit = {model.apply(g, a) for g in model.dihedral_group(n)
+                     if kind is model.GroupKind.DIHEDRAL or not g.is_reflection}
+            least = min(orbit, key=lambda t: t.bits)
+            if ([b for b in orbit if scan.is_minimum(b, kind)] != [least]
+                    or any(oracle.canonical_form(b, kind) != least for b in orbit)):
+                probes_ok = False
+    yield _check({"n": n, "m": None, "subject": "canonical-probes",
+                  "pair": ["oracle", "oracle"]}, probes_ok, True)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     import json
-    import random
 
     max_n = args.max_n
     if max_n < 3:
@@ -332,74 +407,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CliError(f"--probes must not be negative, got {args.probes}")
     if max_n > oracle.ORACLE_MAX_N:
         raise CliError(f"--max-n {max_n} exceeds the oracle bound {oracle.ORACLE_MAX_N}")
-
-    rng = random.Random(args.seed)
-    checks: list[dict] = []
-    failure: dict | None = None
-
-    def record(entry: dict, lhs: int, rhs: int) -> None:
-        nonlocal failure
-        entry["agree"] = lhs == rhs
-        if not entry["agree"]:
-            entry["values"] = [str(lhs), str(rhs)]
-            if failure is None:
-                failure = entry
-        checks.append(entry)
-
-    for n in range(3, max_n + 1):
-        scan = oracle.Scan(n)  # every oracle answer at this n; dropped before the next
-        for m in (None, *range(3, n + 1)):
-            for cyclic, method in ((False, "burnside"), (False, "oracle"), (True, "oracle")):
-                subject = ("polygons" if m is None else "mgons") + ("-cyclic" if cyclic else "")
-                record({"n": n, "m": m, "subject": subject,
-                        "pair": [METHOD_NAMES["closed"], METHOD_NAMES[method]]},
-                       _evaluate_count(n, m, cyclic, "closed"),
-                       _evaluate_count(n, m, cyclic, method, scan))
-
-        # fixed-set formulas per element class, plus same-count within a class
-        seen: dict[model.ElementClass, int] = {}
-        independent = True
-        for sigma in model.dihedral_group(n):
-            cls = model.classify(sigma)
-            fixed = scan.fixed(sigma)
-            direct_good = scan.count(fixed, oracle.TupleSet.GOOD)
-            if cls not in seen:
-                seen[cls] = direct_good
-                record({"n": n, "m": None, "subject": "fix-polygons",
-                        "class": str(cls), "pair": ["formula", "direct"]},
-                       fixcount.fix_polygons(n, cls), direct_good)
-                record({"n": n, "m": None, "subject": "fix-partition",
-                        "class": str(cls), "pair": ["good", "all-minus-bad"]},
-                       direct_good,
-                       scan.count(fixed, oracle.TupleSet.ALL)
-                       - scan.count(fixed, oracle.TupleSet.BAD))
-                for m in range(3, n + 1):
-                    record({"n": n, "m": m, "subject": "fix-mgons",
-                            "class": str(cls), "pair": ["formula", "direct"]},
-                           fixcount.fix_mgons(n, m, cls),
-                           scan.count(fixed, oracle.TupleSet.GOOD, weight=m))
-            elif seen[cls] != direct_good:
-                independent = False
-        record({"n": n, "m": None, "subject": "fix-class-independence",
-                "pair": ["direct", "direct"]}, independent, True)
-
-        # randomized canonical-form probes: every member of a random tuple's
-        # orbit has the explicit orbit minimum as its canonical form, and the
-        # minimum is the one member set in the oracle's orbit-minima mask
-        probes_ok = True
-        for _ in range(args.probes):
-            a = model.CircularTuple(tuple(rng.randrange(2) for _ in range(n)))
-            for kind in model.GroupKind:
-                orbit = {model.apply(g, a) for g in model.dihedral_group(n)
-                         if kind is model.GroupKind.DIHEDRAL or not g.is_reflection}
-                least = min(orbit, key=lambda t: t.bits)
-                if ([b for b in orbit if scan.is_minimum(b, kind)] != [least]
-                        or any(oracle.canonical_form(b, kind) != least for b in orbit)):
-                    probes_ok = False
-        record({"n": n, "m": None, "subject": "canonical-probes",
-                "pair": ["oracle", "oracle"]}, probes_ok, True)
-        del scan, fixed  # never two perimeters' masks at once: 110 MB at n = 24
-
+    checks = list(verify_checks(max_n, args.seed, args.probes))
+    failure = next((check for check in checks if not check["agree"]), None)
     report = {
         "schema": VERIFY_SCHEMA,
         "max_n": max_n,

@@ -80,7 +80,7 @@ class CircularTuple(_Record):
     def __init__(self, bits: tuple[int, ...]) -> None:
         if len(bits) < 3:
             raise ValueError("circular tuples need at least 3 positions")
-        if any(b not in (0, 1) for b in bits):
+        if any(type(b) is not int or b not in (0, 1) for b in bits):  # no True or 1.0
             raise ValueError("tuple entries must be 0 or 1")
         object.__setattr__(self, "bits", bits)
 

@@ -8,7 +8,6 @@ here touches floats.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import compress
 
 __all__ = ["HalfIntegerError", "binomial", "divisors", "totient"]
@@ -33,7 +32,6 @@ def divisors(n: int) -> list[int]:
     return small + large
 
 
-@lru_cache(maxsize=None)
 def totient(n: int) -> int:
     """Euler's totient: how many of 1..n are coprime to n."""
     if n < 1:

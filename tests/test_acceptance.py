@@ -79,20 +79,17 @@ def test_c2_polygon_row_reproduction():
 
 
 def test_c3_three_way_census_agreement():
+    # the census records of the `verify` engine: the closed forms against the
+    # group average and against the oracle's orbits under both groups
     started = time.perf_counter()
-    for n in range(3, 21):
-        scan = oracle.Scan(n)
-        closed = census.count_polygons(n)
-        assert closed == census.count_polygons_via_burnside(n)
-        assert closed == scan.orbit_count(oracle.GroupKind.DIHEDRAL)
-        assert census.count_polygons_cyclic(n) == scan.orbit_count(oracle.GroupKind.CYCLIC)
-        for m in range(3, n + 1):
-            closed_m = census.count_mgons(n, m)
-            assert closed_m == census.count_mgons_via_burnside(n, m)
-            assert closed_m == scan.orbit_count(oracle.GroupKind.DIHEDRAL, weight=m)
-            assert census.count_mgons_cyclic(n, m) == \
-                scan.orbit_count(oracle.GroupKind.CYCLIC, weight=m)
+    subjects = {"polygons", "polygons-cyclic", "mgons", "mgons-cyclic"}
+    checks = [c for c in cli.verify_checks(20, cli.DEFAULT_SEED, 0) if c["subject"] in subjects]
     elapsed = time.perf_counter() - started
+    assert all(c["agree"] for c in checks)
+    want = [(n, m, ("polygons" if m is None else "mgons") + group, ["closed-form", route])
+            for n in range(3, 21) for m in (None, *range(3, n + 1))
+            for group, route in (("", "burnside"), ("", "oracle"), ("-cyclic", "oracle"))]
+    assert [(c["n"], c["m"], c["subject"], c["pair"]) for c in checks] == want
     assert elapsed < 60.0, f"census sweep took {elapsed:.2f} s"
 
 
@@ -122,12 +119,18 @@ def test_c5_triangle_nearest_rule_agreement():
     assert elapsed < 10.0, f"triangle sweep took {elapsed:.2f} s"
 
 
+# the exact quadrilateral count is cubic(n) / 96, one cubic per residue of n
+# mod 4: the coefficients of n^3, n^2, n and 1
+QUADRILATERAL_CUBICS = {0: (1, -3, 20, 0), 1: (1, 0, -7, 6), 2: (1, -3, 20, -36), 3: (1, 0, -7, -6)}
+
+
 def test_c6_quadrilateral_rules_agreement():
     started = time.perf_counter()
     for n in range(4, 10_001):
         expected = census.count_mgons(n, 4)
         assert census.quadrilaterals_nearest(n) == expected
-        assert census.quadrilaterals_piecewise(n) == expected
+        a, b, c, d = QUADRILATERAL_CUBICS[n % 4]
+        assert divmod(((a * n + b) * n + c) * n + d, 96) == (expected, 0)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"quadrilateral sweep took {elapsed:.2f} s"
 

@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -364,11 +365,9 @@ def test_verify_documented_sweep(capsys):
     assert json.loads(out)["all_agree"] is True
 
 
-def test_verify_census_record_order(capsys):
-    code, out, _ = run(capsys, "verify", "--max-n", "7")
-    assert code == 0
+def test_verify_census_record_order():
     subjects = {"polygons", "polygons-cyclic", "mgons", "mgons-cyclic"}
-    records = [c for c in json.loads(out)["checks"] if c["subject"] in subjects]
+    records = [c for c in cli.verify_checks(7, cli.DEFAULT_SEED, 5) if c["subject"] in subjects]
     assert all(list(c) == ["n", "m", "subject", "pair", "agree"] for c in records)
     want = []
     for n in range(3, 8):
@@ -395,23 +394,32 @@ def test_verify_rejects_beyond_oracle_bound(capsys):
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):
-    real = census.count_mgons
+    # each route in turn counts one more 4-gon of perimeter 7: the first
+    # failure names it, on the side of the pair that holds the larger value
+    skews = [
+        (census, "count_mgons", "closed-form",
+         lambda real: lambda n, m: real(n, m) + ((n, m) == (7, 4))),
+        (census, "count_mgons_via_burnside", "burnside",
+         lambda real: lambda n, m, group: real(n, m, group) + ((n, m) == (7, 4))),
+        (oracle.Scan, "orbit_count", "oracle",
+         lambda real: lambda scan, group, m=None: real(scan, group, m) + ((scan.n, m) == (7, 4))),
+    ]
+    for owner, name, route, skew in skews:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, skew(getattr(owner, name)))
+            code, out, err = run(capsys, "verify", "--max-n", "8")
+        assert code == 1, route
+        assert "n=7" in err and "m=4" in err
+        report = json.loads(out)
+        assert report["all_agree"] is False
+        failure = report["first_failure"]
+        assert (failure["n"], failure["m"], failure["subject"]) == (7, 4, "mgons")
+        lhs, rhs = map(int, failure["values"])
+        assert abs(lhs - rhs) == 1
+        assert failure["pair"][lhs < rhs] == route
 
-    def skewed(n, m):
-        value = real(n, m)
-        return value + 1 if (n, m) == (7, 4) else value
 
-    monkeypatch.setattr(census, "count_mgons", skewed)
-    code, out, err = run(capsys, "verify", "--max-n", "8")
-    assert code == 1
-    assert "n=7" in err and "m=4" in err
-    report = json.loads(out)
-    assert report["all_agree"] is False
-    assert report["first_failure"]["n"] == 7
-    assert report["first_failure"]["m"] == 4
-
-
-def test_verify_fix_partition_compares_two_goodness_rules(capsys, monkeypatch):
+def test_verify_fix_partition_compares_two_goodness_rules(monkeypatch):
     # call the regular hexagon no polygon in the corner-gap mask only: the
     # zero-run rule still says it is not bad, so good + bad != all for every
     # symmetry, all of which fix it
@@ -427,9 +435,7 @@ def test_verify_fix_partition_compares_two_goodness_rules(capsys, monkeypatch):
     good, bad, everything = (scan.count(identity, subset) for subset in
                              (oracle.TupleSet.GOOD, oracle.TupleSet.BAD, oracle.TupleSet.ALL))
     assert good != everything - bad
-    code, out, _ = run(capsys, "verify", "--max-n", "6")
-    assert code == 1
-    partition = [c for c in json.loads(out)["checks"]
+    partition = [c for c in cli.verify_checks(6, cli.DEFAULT_SEED, 0)
                  if c["subject"] == "fix-partition" and c["n"] == 6]
     assert partition and not any(c["agree"] for c in partition)
 
@@ -444,6 +450,29 @@ def test_verify_runs_one_comparator_per_element_and_group(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--max-n", "8")
     assert code == 0
     assert len(calls) == 132 and len(set(calls)) == 66
+
+
+def test_verify_checks_hold_one_scan_at_a_time(monkeypatch):
+    # a perimeter's scan goes when its checks end, before the next one is built
+    live = peak = 0
+
+    def gone():
+        nonlocal live
+        live -= 1
+
+    class CountedScan(oracle.Scan):
+        def __init__(self, n):
+            nonlocal live, peak
+            super().__init__(n)
+            live += 1
+            peak = max(peak, live)
+            weakref.finalize(self, gone)
+
+    monkeypatch.setattr(oracle, "Scan", CountedScan)
+    checks = list(cli.verify_checks(10, cli.DEFAULT_SEED, 2))
+    assert all(c["agree"] for c in checks)
+    assert {c["n"] for c in checks} == set(range(3, 11))
+    assert (peak, live) == (1, 0)
 
 
 def test_verify_seed_is_deterministic(capsys):

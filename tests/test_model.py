@@ -49,6 +49,11 @@ def test_tuple_validation():
         CircularTuple((1, 0, 2))
     with pytest.raises(ValueError):
         CircularTuple.from_text("10x")
+    # a bool or a float equals 0 or 1, but would print as 'True' or '1.0',
+    # which the oracle cannot read as a bitstring
+    for entry in (True, 1.0):
+        with pytest.raises(ValueError, match="tuple entries must be 0 or 1"):
+            CircularTuple((1, entry, 0, 1))
 
 
 def test_text_round_trip():
