@@ -29,12 +29,7 @@ from .model import (
     cyclic_group,
     dihedral_group,
 )
-from .numtheory import HalfIntegerError, binomial, divisors, totient
-from .oracle import (
-    ORACLE_MAX_N,
-    TupleSet,
-    canonical_form,
-    orbit_count,
-)
+from .numtheory import binomial, divisors, totient
+from .oracle import ORACLE_MAX_N, canonical_form, orbit_count
 
 __version__ = "0.1.0"

@@ -359,7 +359,8 @@ def _checks_at(n: int, rng, probes: int):
     for sigma in model.dihedral_group(n):
         cls = model.classify(sigma)
         fixed = scan.fixed(sigma)
-        direct_good = scan.count(fixed, oracle.TupleSet.GOOD)
+        good = fixed & scan.good
+        direct_good = scan.count(good)
         if cls not in seen:
             seen[cls] = direct_good
             yield _check({"n": n, "m": None, "subject": "fix-polygons",
@@ -367,14 +368,11 @@ def _checks_at(n: int, rng, probes: int):
                          fixcount.fix_polygons(n, cls), direct_good)
             yield _check({"n": n, "m": None, "subject": "fix-partition",
                           "class": str(cls), "pair": ["good", "all-minus-bad"]},
-                         direct_good,
-                         scan.count(fixed, oracle.TupleSet.ALL)
-                         - scan.count(fixed, oracle.TupleSet.BAD))
+                         direct_good, scan.count(fixed) - scan.count(fixed & scan.bad))
             for m in range(3, n + 1):
                 yield _check({"n": n, "m": m, "subject": "fix-mgons",
                               "class": str(cls), "pair": ["formula", "direct"]},
-                             fixcount.fix_mgons(n, m, cls),
-                             scan.count(fixed, oracle.TupleSet.GOOD, weight=m))
+                             fixcount.fix_mgons(n, m, cls), scan.count(good, weight=m))
         elif seen[cls] != direct_good:
             independent = False
     yield _check({"n": n, "m": None, "subject": "fix-class-independence",

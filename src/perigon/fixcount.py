@@ -12,17 +12,23 @@ where m/2 appears) contribute zero.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .model import ElementClass, ElementKind, GroupKind, element_classes
+from .model import ElementClass, ElementKind
 from .numtheory import binomial
 
 __all__ = ["fix_mgons", "fix_polygons"]
 
 
-@lru_cache(maxsize=1024)
 def _check_class(n: int, cls: ElementClass) -> None:
-    if cls not in dict(element_classes(n, GroupKind.DIHEDRAL)):
+    """Reject a class that no symmetry of the n-point circle is in: a rotation
+    whose order does not divide n, or a reflection of the other parity."""
+    if type(n) is not int or n < 3:  # a float n would give float counts
+        raise ValueError(f"perimeter must be an int of at least 3, got {n!r}")
+    if cls.order is not None:  # the rotation classes, and only they, carry an order
+        fits = n % cls.order == 0
+    else:
+        kind = cls.kind
+        fits = (kind is ElementKind.REFLECTION_ODD) == (n % 2 == 1) or kind is ElementKind.IDENTITY
+    if not fits:
         raise ValueError(f"no symmetry of the {n}-point circle is in class {cls}")
 
 

@@ -41,7 +41,8 @@ class _Record:
     their fields, and print like a dataclass.  Each subclass validates and
     stores its fields in a hand-written __init__ (object.__setattr__ gets
     past the assignment guard) and lists them in a hand-written _key, which
-    the burnside route's class lookups call often enough to matter.
+    every hash calls: `verify` hashes each tuple of its probes' orbit sets and
+    each element's class in its per-class `seen` dict.
     """
 
     __slots__ = ()
@@ -78,6 +79,8 @@ class CircularTuple(_Record):
     bits: tuple[int, ...]
 
     def __init__(self, bits: tuple[int, ...]) -> None:
+        if type(bits) is not tuple:  # a list would stay mutable and unhashable
+            raise ValueError(f"tuple bits must be a tuple, got {type(bits).__name__}")
         if len(bits) < 3:
             raise ValueError("circular tuples need at least 3 positions")
         if any(type(b) is not int or b not in (0, 1) for b in bits):  # no True or 1.0
@@ -122,6 +125,8 @@ class GroupElement(_Record):
     is_reflection: bool
 
     def __init__(self, n: int, q: int, is_reflection: bool = False) -> None:
+        if type(n) is not int or type(q) is not int or type(is_reflection) is not bool:
+            raise ValueError("n and q must be ints and is_reflection a bool")
         if n < 3:
             raise ValueError("the circle needs at least 3 points")
         if not 0 <= q < n:
@@ -179,6 +184,8 @@ class ElementClass(_Record):
     order: int | None
 
     def __init__(self, kind: ElementKind, order: int | None = None) -> None:
+        if type(kind) is not ElementKind or not (order is None or type(order) is int):
+            raise ValueError("a class takes an ElementKind and an int order or None")
         if (kind is ElementKind.ROTATION) != (order is not None):
             raise ValueError("exactly the non-trivial rotation classes carry an order")
         if order is not None and order < 2:
@@ -188,26 +195,6 @@ class ElementClass(_Record):
 
     def _key(self) -> tuple:
         return self.kind, self.order
-
-    @classmethod
-    def identity(cls) -> ElementClass:
-        return cls(ElementKind.IDENTITY)
-
-    @classmethod
-    def rotation(cls, order: int) -> ElementClass:
-        return cls(ElementKind.ROTATION, order)
-
-    @classmethod
-    def reflection_odd(cls) -> ElementClass:
-        return cls(ElementKind.REFLECTION_ODD)
-
-    @classmethod
-    def reflection_even_no_fixed_point(cls) -> ElementClass:
-        return cls(ElementKind.REFLECTION_EVEN_NO_FIXED_POINT)
-
-    @classmethod
-    def reflection_even_two_fixed_points(cls) -> ElementClass:
-        return cls(ElementKind.REFLECTION_EVEN_TWO_FIXED_POINTS)
 
     def __str__(self) -> str:
         if self.kind is ElementKind.ROTATION:
@@ -246,12 +233,14 @@ def classify(sigma: GroupElement) -> ElementClass:
     """
     if not sigma.is_reflection:
         d = sigma.n // gcd(sigma.n, sigma.q)  # the rotation's order
-        return ElementClass.identity() if d == 1 else ElementClass.rotation(d)
+        if d == 1:
+            return ElementClass(ElementKind.IDENTITY)
+        return ElementClass(ElementKind.ROTATION, d)
     if sigma.n % 2 == 1:
-        return ElementClass.reflection_odd()
+        return ElementClass(ElementKind.REFLECTION_ODD)
     if sigma.q % 2 == 0:
-        return ElementClass.reflection_even_two_fixed_points()
-    return ElementClass.reflection_even_no_fixed_point()
+        return ElementClass(ElementKind.REFLECTION_EVEN_TWO_FIXED_POINTS)
+    return ElementClass(ElementKind.REFLECTION_EVEN_NO_FIXED_POINT)
 
 
 def element_classes(n: int, group: GroupKind) -> list[tuple[ElementClass, int]]:
@@ -263,14 +252,14 @@ def element_classes(n: int, group: GroupKind) -> list[tuple[ElementClass, int]]:
     """
     if n < 3:
         raise ValueError(f"perimeter must be at least 3, got {n}")
-    classes = [(ElementClass.identity(), 1)]
-    classes += [(ElementClass.rotation(d), totient(d)) for d in divisors(n) if d > 1]
+    classes = [(ElementClass(ElementKind.IDENTITY), 1)]
+    classes += [(ElementClass(ElementKind.ROTATION, d), totient(d)) for d in divisors(n) if d > 1]
     if group is GroupKind.DIHEDRAL:
         if n % 2 == 1:
-            classes.append((ElementClass.reflection_odd(), n))
+            classes.append((ElementClass(ElementKind.REFLECTION_ODD), n))
         else:
-            classes.append((ElementClass.reflection_even_no_fixed_point(), n // 2))
-            classes.append((ElementClass.reflection_even_two_fixed_points(), n // 2))
+            classes.append((ElementClass(ElementKind.REFLECTION_EVEN_NO_FIXED_POINT), n // 2))
+            classes.append((ElementClass(ElementKind.REFLECTION_EVEN_TWO_FIXED_POINTS), n // 2))
     return classes
 
 

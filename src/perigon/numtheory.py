@@ -10,11 +10,7 @@ from __future__ import annotations
 import math
 from itertools import compress
 
-__all__ = ["HalfIntegerError", "binomial", "divisors", "totient"]
-
-
-class HalfIntegerError(ValueError):
-    """Raised when asked for the nearest integer to an exact half-integer."""
+__all__ = ["binomial", "divisors", "totient"]
 
 
 def divisors(n: int) -> list[int]:
@@ -122,9 +118,10 @@ def _nearest_quotient(num: int, den: int) -> int:
     floor((2 num + den) / (2 den)).
 
     num/den is a half-integer exactly when 2 num = den (mod 2 den), that is
-    when the division is exact; HalfIntegerError is raised there.
+    when the division is exact; ValueError is raised there.  The nearest
+    rules never reach that case: their numerators avoid it for every n.
     """
     q, r = divmod(2 * num + den, 2 * den)
     if not r:
-        raise HalfIntegerError(f"{num}/{den} is a half-integer; no nearest integer exists")
+        raise ValueError(f"{num}/{den} is a half-integer; no nearest integer exists")
     return q

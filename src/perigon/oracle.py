@@ -24,15 +24,12 @@ compares the two rules.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .model import CircularTuple, GroupElement, GroupKind, bad_block_threshold, cyclic_group
 
 __all__ = [
     "ORACLE_MAX_N",
     "GroupKind",
     "Scan",
-    "TupleSet",
     "canonical_form",
     "orbit_count",
 ]
@@ -41,12 +38,6 @@ __all__ = [
 # end to end with a peak RSS of 155-173 MB, as the C heap places the 2 MB masks
 # (tracemalloc's peak is 128 MB); each +1 doubles both
 ORACLE_MAX_N = 24
-
-
-class TupleSet(Enum):
-    GOOD = "good"
-    BAD = "bad"
-    ALL = "all"
 
 
 def _check_scale(n: int) -> None:
@@ -112,7 +103,8 @@ def _compare(columns: list[int], full: int, sigma: GroupElement) -> tuple[int, i
 
 
 class Scan:
-    """The masks over all packed n-tuples that the counts are read from.
+    """The masks over all packed n-tuples that the counts are read from:
+    `full` (every tuple), `good` and `bad` (by the two goodness rules).
 
     The caller builds one per perimeter, asks it every question at that n
     and drops it; nothing outlives the last reference.  At n = 24 the masks
@@ -122,9 +114,8 @@ class Scan:
         _check_scale(n)
         self.n, self.full = n, (1 << (1 << n)) - 1
         self.weights, self.columns = _weights(n), _columns(n)
-        self.subsets = {TupleSet.ALL: self.full,
-                        TupleSet.GOOD: _good_mask(n, self.columns, self.full),
-                        TupleSet.BAD: _bad_mask(n, self.columns, self.full)}
+        self.good = _good_mask(n, self.columns, self.full)
+        self.bad = _bad_mask(n, self.columns, self.full)
         self._minima: dict[GroupKind, int] = {}
 
     def _least(self, group: GroupKind) -> int:
@@ -151,7 +142,7 @@ class Scan:
         """
         if weight is not None and not 3 <= weight <= self.n:
             return 0
-        return self.count(self._least(group), TupleSet.GOOD, weight)
+        return self.count(self._least(group) & self.good, weight)
 
     def is_minimum(self, a: CircularTuple, group: GroupKind) -> bool:
         """True iff a is the least tuple of its orbit, read from the exhaustive
@@ -166,9 +157,9 @@ class Scan:
             raise ValueError(f"element acts on {sigma.n} points, scan is over {self.n}")
         return _compare(self.columns, self.full, sigma)[1]
 
-    def count(self, mask: int, subset: TupleSet, weight: int | None = None) -> int:
-        """Number of the tuples in mask that are in the chosen subset and, with
-        a weight filter m, have m corners.
+    def count(self, mask: int, weight: int | None = None) -> int:
+        """Number of the tuples in mask that, with a weight filter m, have m
+        corners; AND the mask with `good` or `bad` first to count only those.
 
         Good tuples are found by the corner-gap test and bad ones by the
         model's zero-run rule, so the check that good and bad add up to all
@@ -176,8 +167,7 @@ class Scan:
         """
         if weight is not None and not 0 <= weight <= self.n:
             raise ValueError(f"weight filter must satisfy 0 <= m <= n, got m={weight}")
-        found = mask & self.subsets[subset]
-        return (found if weight is None else found & self.weights[weight]).bit_count()
+        return (mask if weight is None else mask & self.weights[weight]).bit_count()
 
 
 def canonical_form(a: CircularTuple, group: GroupKind) -> CircularTuple:

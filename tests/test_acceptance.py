@@ -99,14 +99,11 @@ def test_c4_fix_set_formulas_match_direct_counts():
         scan = oracle.Scan(n)
         for sigma in model.dihedral_group(n):
             cls, fixed = model.classify(sigma), scan.fixed(sigma)
-            good = scan.count(fixed, oracle.TupleSet.GOOD)
-            everything = scan.count(fixed, oracle.TupleSet.ALL)
-            bad = scan.count(fixed, oracle.TupleSet.BAD)
-            assert good == everything - bad
-            assert fixcount.fix_polygons(n, cls) == good
+            good = fixed & scan.good
+            assert scan.count(good) == scan.count(fixed) - scan.count(fixed & scan.bad)
+            assert fixcount.fix_polygons(n, cls) == scan.count(good)
             for m in range(3, n + 1):
-                assert fixcount.fix_mgons(n, m, cls) == scan.count(
-                    fixed, oracle.TupleSet.GOOD, weight=m)
+                assert fixcount.fix_mgons(n, m, cls) == scan.count(good, weight=m)
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0, f"fix sweep took {elapsed:.2f} s"
 

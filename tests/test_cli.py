@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import json
 import os
 import random
@@ -432,8 +433,8 @@ def test_verify_fix_partition_compares_two_goodness_rules(monkeypatch):
     monkeypatch.setattr(oracle, "_good_mask", broken)
     scan = oracle.Scan(6)
     identity = scan.fixed(model.GroupElement.rotation(6, 0))
-    good, bad, everything = (scan.count(identity, subset) for subset in
-                             (oracle.TupleSet.GOOD, oracle.TupleSet.BAD, oracle.TupleSet.ALL))
+    good, bad, everything = (scan.count(identity & mask) for mask in
+                             (scan.good, scan.bad, scan.full))
     assert good != everything - bad
     partition = [c for c in cli.verify_checks(6, cli.DEFAULT_SEED, 0)
                  if c["subject"] == "fix-partition" and c["n"] == 6]
@@ -482,6 +483,19 @@ def test_verify_seed_is_deterministic(capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--max-n", "12"), "ec3e67ffdfaf1fccaecc009f45d115a370c7c9a1b0272960cb59e477eadab266"),
+    (("--max-n", "11", "--seed", "7", "--probes", "9"),
+     "c01efac1bdaa3e83de7d63df7063438fc14da015edd4797cdf1b1c834674db91"),
+], ids=["max-n-12", "seed-7-probes-9"])
+def test_verify_report_bytes_are_pinned(capsys, argv, digest):
+    # the whole report, byte for byte: a change to how the checks are computed
+    # must leave every record, value and its order as it was
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

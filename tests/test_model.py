@@ -134,6 +134,17 @@ def test_records_survive_pickle_and_copy(record, same, other, text):
     (lambda: ElementClass(ElementKind.REFLECTION_ODD, 2),
      "exactly the non-trivial rotation classes carry an order"),
     (lambda: ElementClass(ElementKind.ROTATION, 1), "rotation classes have order >= 2"),
+    # field types: ints that are not bools, a bool flag, a tuple of bits
+    (lambda: CircularTuple([0, 1, 1]), "tuple bits must be a tuple, got list"),
+    (lambda: GroupElement(5, 2.0), "n and q must be ints and is_reflection a bool"),
+    (lambda: GroupElement(5, True), "n and q must be ints and is_reflection a bool"),
+    (lambda: GroupElement(5.0, 2), "n and q must be ints and is_reflection a bool"),
+    (lambda: GroupElement(5, 2, 1), "n and q must be ints and is_reflection a bool"),
+    (lambda: ElementClass(ElementKind.ROTATION, 2.0),
+     "a class takes an ElementKind and an int order or None"),
+    (lambda: ElementClass(ElementKind.ROTATION, True),
+     "a class takes an ElementKind and an int order or None"),
+    (lambda: ElementClass("rotation", 2), "a class takes an ElementKind and an int order or None"),
 ])
 def test_record_validation_messages(build, message):
     with pytest.raises(ValueError) as caught:
@@ -216,11 +227,13 @@ def test_element_order_examples():
 
 
 def test_classify_examples():
-    assert classify(GroupElement.reflection(12, 2)) == ElementClass.reflection_even_two_fixed_points()
-    assert classify(GroupElement.reflection(12, 3)) == ElementClass.reflection_even_no_fixed_point()
-    assert classify(GroupElement.reflection(13, 7)) == ElementClass.reflection_odd()
-    assert classify(GroupElement.rotation(9, 0)) == ElementClass.identity()
-    assert classify(GroupElement.rotation(12, 4)) == ElementClass.rotation(3)
+    assert classify(GroupElement.reflection(12, 2)) == ElementClass(
+        ElementKind.REFLECTION_EVEN_TWO_FIXED_POINTS)
+    assert classify(GroupElement.reflection(12, 3)) == ElementClass(
+        ElementKind.REFLECTION_EVEN_NO_FIXED_POINT)
+    assert classify(GroupElement.reflection(13, 7)) == ElementClass(ElementKind.REFLECTION_ODD)
+    assert classify(GroupElement.rotation(9, 0)) == ElementClass(ElementKind.IDENTITY)
+    assert classify(GroupElement.rotation(12, 4)) == ElementClass(ElementKind.ROTATION, 3)
 
 
 def test_classify_matches_fixed_point_count():
@@ -230,8 +243,8 @@ def test_classify_matches_fixed_point_count():
             cls = classify(sigma)
             fixed = sum(1 for i in range(n) if sigma.permutes(i) == i)
             if n % 2 == 1:
-                assert cls == ElementClass.reflection_odd() and fixed == 1
-            elif cls == ElementClass.reflection_even_two_fixed_points():
+                assert cls == ElementClass(ElementKind.REFLECTION_ODD) and fixed == 1
+            elif cls == ElementClass(ElementKind.REFLECTION_EVEN_TWO_FIXED_POINTS):
                 assert fixed == 2
             else:
                 assert fixed == 0
@@ -244,10 +257,10 @@ def test_classify_partitions_group():
         reflections = [c for c in classes if c not in rotations]
         assert len(rotations) == n and len(reflections) == n
         if n % 2 == 1:
-            assert all(c == ElementClass.reflection_odd() for c in reflections)
+            assert all(c == ElementClass(ElementKind.REFLECTION_ODD) for c in reflections)
         else:
             two = sum(1 for c in reflections
-                      if c == ElementClass.reflection_even_two_fixed_points())
+                      if c == ElementClass(ElementKind.REFLECTION_EVEN_TWO_FIXED_POINTS))
             assert two == n // 2 and len(reflections) - two == n // 2
 
 
@@ -266,7 +279,7 @@ def test_element_class_validation():
     with pytest.raises(ValueError):
         ElementClass(ElementKind.IDENTITY, 2)
     with pytest.raises(ValueError):
-        ElementClass.rotation(1)
+        ElementClass(ElementKind.ROTATION, 1)
 
 
 def test_bad_block_threshold():

@@ -6,7 +6,6 @@ import pytest
 
 from perigon import numtheory
 from perigon.numtheory import (
-    HalfIntegerError,
     binomial,
     divisors,
     totient,
@@ -77,12 +76,12 @@ def test_binomial_symmetry_and_pascal():
 def test_nearest_integer_examples():
     assert numtheory._nearest_quotient(144, 48) == 3
     assert numtheory._nearest_quotient(100, 48) == 2
-    with pytest.raises(HalfIntegerError):
+    with pytest.raises(ValueError, match="is a half-integer"):
         numtheory._nearest_quotient(5, 2)
 
 
 def test_nearest_integer_detects_unreduced_half():
-    with pytest.raises(HalfIntegerError):
+    with pytest.raises(ValueError, match="is a half-integer"):
         numtheory._nearest_quotient(6, 4)
 
 
@@ -101,30 +100,42 @@ def fraction_route(num, den):
     """The rounding the nearest rules did in rational arithmetic: floor(num/den + 1/2)."""
     x = Fraction(num, den)
     if x.denominator == 2:
-        raise HalfIntegerError(f"{x} is a half-integer")
+        raise ValueError(f"{x} is a half-integer")
     return math.floor(x + Fraction(1, 2))
 
 
+def rule_numerators(n):
+    """The numerators of the triangle (/48) and quadrilateral (/96) nearest rules."""
+    if n % 2 == 0:
+        return (n * n, 48), (n**3 - 3 * n**2 + 20 * n, 96)
+    return ((n + 3) ** 2, 48), (n**3 - 7 * n, 96)
+
+
 def test_nearest_quotient_equals_fraction_route():
-    # the numerators of the triangle (/48) and quadrilateral (/96) rules
     for n in range(1, 10**5 + 1):
-        if n % 2 == 0:
-            cases = ((n * n, 48), (n**3 - 3 * n**2 + 20 * n, 96))
-        else:
-            cases = (((n + 3) ** 2, 48), (n**3 - 7 * n, 96))
-        for num, den in cases:
+        for num, den in rule_numerators(n):
             assert numtheory._nearest_quotient(num, den) == fraction_route(num, den)
+
+
+def test_nearest_rules_never_meet_a_half_integer():
+    # num/den is a half-integer iff num = den/2 (mod den).  A numerator is an
+    # integer polynomial in n, so its residue mod den repeats when n grows by
+    # den, and the parity branch repeats every 2: n over 0..2 den - 1 walks
+    # every residue class of a rule, so no n reaches the ValueError
+    for rule, den in enumerate((48, 96)):
+        residues = {rule_numerators(n)[rule][0] % den for n in range(2 * den)}
+        assert den // 2 not in residues, (den, sorted(residues))
 
 
 @pytest.mark.parametrize("num, den", [(5, 2), (6, 4), (-3, 2), (24, 48), (72, 48),
                                       (-24, 48), (48, 96), (144, 96), (-240, 96)])
 def test_nearest_quotient_rejects_half_integers(num, den):
-    with pytest.raises(HalfIntegerError):
+    with pytest.raises(ValueError, match="is a half-integer"):
         fraction_route(num, den)
-    with pytest.raises(HalfIntegerError):
+    with pytest.raises(ValueError, match="is a half-integer"):
         numtheory._nearest_quotient(num, den)
     x = Fraction(num, den)  # the same half-integer in lowest terms
-    with pytest.raises(HalfIntegerError):
+    with pytest.raises(ValueError, match="is a half-integer"):
         numtheory._nearest_quotient(x.numerator, x.denominator)
     # one step either side of the half-integer rounds away from it
     for near in (num - 1, num + 1):

@@ -11,7 +11,6 @@ from perigon.oracle import (
     ORACLE_MAX_N,
     GroupKind,
     Scan,
-    TupleSet,
     canonical_form,
     orbit_count,
 )
@@ -125,10 +124,10 @@ def test_orbit_count_examples():
 def test_fixed_mask_counts_examples():
     scan = Scan(4)
     identity = scan.fixed(GroupElement.rotation(4, 0))
-    assert scan.count(identity, TupleSet.ALL) == 16
-    assert scan.count(identity, TupleSet.GOOD) == 1
+    assert scan.count(identity) == 16
+    assert scan.count(identity & scan.good) == 1
     scan = Scan(6)
-    assert scan.count(scan.fixed(GroupElement.rotation(6, 3)), TupleSet.GOOD) == 4
+    assert scan.count(scan.fixed(GroupElement.rotation(6, 3)) & scan.good) == 4
 
 
 def test_good_plus_bad_is_all():
@@ -136,13 +135,11 @@ def test_good_plus_bad_is_all():
         scan = Scan(n)
         for sigma in dihedral_group(n):
             fixed = scan.fixed(sigma)
-            good = scan.count(fixed, TupleSet.GOOD)
-            bad = scan.count(fixed, TupleSet.BAD)
-            assert good + bad == scan.count(fixed, TupleSet.ALL)
+            good, bad = fixed & scan.good, fixed & scan.bad
+            assert scan.count(good) + scan.count(bad) == scan.count(fixed)
             for m in range(0, n + 1):
-                assert (scan.count(fixed, TupleSet.GOOD, weight=m)
-                        + scan.count(fixed, TupleSet.BAD, weight=m)
-                        == scan.count(fixed, TupleSet.ALL, weight=m))
+                assert (scan.count(good, weight=m) + scan.count(bad, weight=m)
+                        == scan.count(fixed, weight=m))
 
 
 def test_orbit_count_matches_group_average():
@@ -152,12 +149,12 @@ def test_orbit_count_matches_group_average():
         for kind, elements in ((GroupKind.DIHEDRAL, list(dihedral_group(n))),
                                (GroupKind.CYCLIC,
                                 [s for s in dihedral_group(n) if not s.is_reflection])):
-            fixed = [scan.fixed(s) for s in elements]
-            total = sum(scan.count(f, TupleSet.GOOD) for f in fixed)
+            good = [scan.fixed(s) & scan.good for s in elements]
+            total = sum(scan.count(f) for f in good)
             assert total % len(elements) == 0
             assert scan.orbit_count(kind) == total // len(elements)
             for m in range(3, n + 1):
-                total = sum(scan.count(f, TupleSet.GOOD, weight=m) for f in fixed)
+                total = sum(scan.count(f, weight=m) for f in good)
                 assert scan.orbit_count(kind, weight=m) == total // len(elements)
 
 
@@ -166,7 +163,7 @@ def test_identity_weight_counts_are_binomials():
         scan = Scan(n)
         identity = scan.fixed(GroupElement.rotation(n, 0))
         for m in range(0, n + 1):
-            assert scan.count(identity, TupleSet.ALL, weight=m) == math.comb(n, m)
+            assert scan.count(identity, weight=m) == math.comb(n, m)
 
 
 def test_scale_bound():
@@ -187,7 +184,7 @@ def test_weight_filter_validation():
     scan = Scan(8)
     assert scan.orbit_count(GroupKind.DIHEDRAL, weight=9) == 0
     with pytest.raises(ValueError):
-        scan.count(scan.full, TupleSet.ALL, weight=9)
+        scan.count(scan.full, weight=9)
     with pytest.raises(ValueError):
         scan.fixed(GroupElement.rotation(6, 0))
     with pytest.raises(ValueError):
