@@ -346,23 +346,23 @@ def _checks_at(n: int, rng, probes: int):
     110 MB at n = 24."""
     scan = oracle.Scan(n)
     for m in (None, *range(3, n + 1)):
+        closed = [_evaluate_count(n, m, cyclic, "closed") for cyclic in (False, True)]
         for cyclic, method in ((False, "burnside"), (False, "oracle"), (True, "oracle")):
             subject = ("polygons" if m is None else "mgons") + ("-cyclic" if cyclic else "")
             yield _check({"n": n, "m": m, "subject": subject,
                           "pair": [METHOD_NAMES["closed"], METHOD_NAMES[method]]},
-                         _evaluate_count(n, m, cyclic, "closed"),
-                         _evaluate_count(n, m, cyclic, method, scan))
+                         closed[cyclic], _evaluate_count(n, m, cyclic, method, scan))
 
-    # fixed-set formulas per element class, plus same-count within a class
+    # per class: fixed-set formulas from its first element's mask, same count for the rest
+    elements = list(model.dihedral_group(n))  # the rotations first
     seen: dict[model.ElementClass, int] = {}
     independent = True
-    for sigma in model.dihedral_group(n):
+    for sigma in elements:
         cls = model.classify(sigma)
-        fixed = scan.fixed(sigma)
-        good = fixed & scan.good
-        direct_good = scan.count(good)
         if cls not in seen:
-            seen[cls] = direct_good
+            fixed = scan.fixed(sigma)
+            good = fixed & scan.good
+            seen[cls] = direct_good = scan.count(good)
             yield _check({"n": n, "m": None, "subject": "fix-polygons",
                           "class": str(cls), "pair": ["formula", "direct"]},
                          fixcount.fix_polygons(n, cls), direct_good)
@@ -373,7 +373,7 @@ def _checks_at(n: int, rng, probes: int):
                 yield _check({"n": n, "m": m, "subject": "fix-mgons",
                               "class": str(cls), "pair": ["formula", "direct"]},
                              fixcount.fix_mgons(n, m, cls), scan.count(good, weight=m))
-        elif seen[cls] != direct_good:
+        elif seen[cls] != scan.fixed_good_count(sigma):
             independent = False
     yield _check({"n": n, "m": None, "subject": "fix-class-independence",
                   "pair": ["direct", "direct"]}, independent, True)
@@ -384,12 +384,12 @@ def _checks_at(n: int, rng, probes: int):
     probes_ok = True
     for _ in range(probes):
         a = model.CircularTuple(tuple(rng.randrange(2) for _ in range(n)))
-        for kind in model.GroupKind:
-            orbit = {model.apply(g, a) for g in model.dihedral_group(n)
-                     if kind is model.GroupKind.DIHEDRAL or not g.is_reflection}
+        images = [model.apply(g, a) for g in elements]
+        for kind, orbit in ((model.GroupKind.CYCLIC, set(images[:n])),
+                            (model.GroupKind.DIHEDRAL, set(images))):
             least = min(orbit, key=lambda t: t.bits)
             if ([b for b in orbit if scan.is_minimum(b, kind)] != [least]
-                    or any(oracle.canonical_form(b, kind) != least for b in orbit)):
+                    or any(oracle.canonical_form(b, kind).bits != least.bits for b in orbit)):
                 probes_ok = False
     yield _check({"n": n, "m": None, "subject": "canonical-probes",
                   "pair": ["oracle", "oracle"]}, probes_ok, True)

@@ -83,7 +83,7 @@ class CircularTuple(_Record):
             raise ValueError(f"tuple bits must be a tuple, got {type(bits).__name__}")
         if len(bits) < 3:
             raise ValueError("circular tuples need at least 3 positions")
-        if any(type(b) is not int or b not in (0, 1) for b in bits):  # no True or 1.0
+        if {*map(type, bits)} != {int} or not {*bits} <= {0, 1}:  # no True or 1.0
             raise ValueError("tuple entries must be 0 or 1")
         object.__setattr__(self, "bits", bits)
 
@@ -219,8 +219,7 @@ def apply(sigma: GroupElement, a: CircularTuple) -> CircularTuple:
     read from the position that sigma maps onto i."""
     if sigma.n != a.n:
         raise ValueError(f"element on {sigma.n} points cannot act on a {a.n}-tuple")
-    inv = sigma.inverse()
-    return CircularTuple(tuple(a.bits[inv.permutes(i)] for i in range(a.n)))
+    return CircularTuple(tuple(map(a.bits.__getitem__, map(sigma.inverse().permutes, range(a.n)))))
 
 
 def classify(sigma: GroupElement) -> ElementClass:

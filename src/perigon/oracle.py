@@ -24,6 +24,8 @@ compares the two rules.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .model import CircularTuple, GroupElement, GroupKind, bad_block_threshold, cyclic_group
 
 __all__ = [
@@ -34,9 +36,9 @@ __all__ = [
     "orbit_count",
 ]
 
-# measured with Python 3.11.7 on 2 vCPUs: `verify --max-n 24` runs in 15-16 s
-# end to end with a peak RSS of 155-173 MB, as the C heap places the 2 MB masks
-# (tracemalloc's peak is 128 MB); each +1 doubles both
+# measured with Python 3.11.7 on 2 vCPUs: `verify --max-n 24` runs in 6.8-8.5 s
+# end to end with a peak RSS of 154-157 MB, as the C heap places the 2 MB masks
+# (tracemalloc's peak is 130 MB); each +1 doubles both
 ORACLE_MAX_N = 24
 
 
@@ -49,8 +51,11 @@ def _weights(n: int) -> list[int]:
     """Mask of the packed n-tuples of weight m, for m = 0..n."""
     weights = [1]  # the one tuple over no positions, of weight 0
     for k in range(n):
-        # a new top position: the 2^k tuples with it set weigh one more
-        weights = [low | (high << (1 << k)) for low, high in zip(weights + [0], [0] + weights)]
+        # a new top position: the 2^k tuples with it set weigh one more; in
+        # place and downward in m, with weights[m - 1] still the old mask
+        weights.append(0)
+        for m in range(k + 1, 0, -1):
+            weights[m] |= weights[m - 1] << (1 << k)
     return weights
 
 
@@ -104,7 +109,8 @@ def _compare(columns: list[int], full: int, sigma: GroupElement) -> tuple[int, i
 
 class Scan:
     """The masks over all packed n-tuples that the counts are read from:
-    `full` (every tuple), `good` and `bad` (by the two goodness rules).
+    `full` (every tuple), `good` and `bad` (by the two goodness rules);
+    `bad` and the n + 1 weight masks are built when first asked for.
 
     The caller builds one per perimeter, asks it every question at that n
     and drops it; nothing outlives the last reference.  At n = 24 the masks
@@ -113,24 +119,28 @@ class Scan:
     def __init__(self, n: int):
         _check_scale(n)
         self.n, self.full = n, (1 << (1 << n)) - 1
-        self.weights, self.columns = _weights(n), _columns(n)
+        self.columns = _columns(n)
         self.good = _good_mask(n, self.columns, self.full)
-        self.bad = _bad_mask(n, self.columns, self.full)
-        self._minima: dict[GroupKind, int] = {}
+        self._minima: dict[GroupKind, tuple[int, int]] = {}
+        self._good_fixed: dict[GroupElement, int] = {}
 
-    def _least(self, group: GroupKind) -> int:
-        """Mask of the tuples x with x <= g.x for every g: the orbit minima.
-        The dihedral minima are the cyclic ones that no reflection undercuts."""
+    bad = cached_property(lambda self: _bad_mask(self.n, self.columns, self.full))
+    weights = cached_property(lambda self: _weights(self.n))
+
+    def _least(self, group: GroupKind) -> tuple[int, int]:
+        """Masks of the orbit minima (x <= g.x for every g) and of the good ones;
+        the dihedral minima are the cyclic ones that no reflection undercuts."""
         if group not in self._minima:
             if group is GroupKind.DIHEDRAL:
-                least = self._least(GroupKind.CYCLIC)
+                least = self._least(GroupKind.CYCLIC)[0]
                 elements = (GroupElement.reflection(self.n, q) for q in range(self.n))
             else:
                 least, elements = self.full, cyclic_group(self.n)
             for sigma in elements:
                 less, equal = _compare(self.columns, self.full, sigma)
                 least &= less | equal
-            self._minima[group] = least
+                self._good_fixed[sigma] = (equal & self.good).bit_count()  # fixed_good_count
+            self._minima[group] = least, least & self.good
         return self._minima[group]
 
     def orbit_count(self, group: GroupKind, weight: int | None = None) -> int:
@@ -142,20 +152,31 @@ class Scan:
         """
         if weight is not None and not 3 <= weight <= self.n:
             return 0
-        return self.count(self._least(group) & self.good, weight)
+        return self.count(self._least(group)[1], weight)
 
     def is_minimum(self, a: CircularTuple, group: GroupKind) -> bool:
         """True iff a is the least tuple of its orbit, read from the exhaustive
         orbit-minima mask, which holds exactly one member of every orbit."""
         if a.n != self.n:
             raise ValueError(f"tuple has {a.n} positions, scan is over {self.n}")
-        return bool(self._least(group) >> int(str(a), 2) & 1)
+        x = 0
+        for b in a.bits:  # position 0 in the top bit
+            x = 2 * x + b
+        return bool(self._least(group)[0] >> x & 1)
 
     def fixed(self, sigma: GroupElement) -> int:
         """Mask of the tuples that sigma fixes; read counts from it with count."""
+        return _compare(self.columns, self.full, self._own(sigma))[1]
+
+    def fixed_good_count(self, sigma: GroupElement) -> int:
+        """Number of good tuples that sigma fixes, kept by the orbit-minima pass."""
+        self._least(GroupKind.DIHEDRAL if self._own(sigma).is_reflection else GroupKind.CYCLIC)
+        return self._good_fixed[sigma]
+
+    def _own(self, sigma: GroupElement) -> GroupElement:
         if sigma.n != self.n:
             raise ValueError(f"element acts on {sigma.n} points, scan is over {self.n}")
-        return _compare(self.columns, self.full, sigma)[1]
+        return sigma
 
     def count(self, mask: int, weight: int | None = None) -> int:
         """Number of the tuples in mask that, with a weight filter m, have m
@@ -177,9 +198,9 @@ def canonical_form(a: CircularTuple, group: GroupKind) -> CircularTuple:
     Idempotent and constant on orbits, so distinct canonical forms count
     orbits; the representative itself is an ordinary circular tuple."""
     _check_scale(a.n)
-    text = str(a)
-    texts = (text, text[::-1]) if group is GroupKind.DIHEDRAL else (text,)
-    return CircularTuple.from_text(min(t[q:] + t[:q] for t in texts for q in range(a.n)))
+    n, twice = a.n, bytes(a.bits) * 2  # turn q of a is twice[q:q + n]
+    turns = (twice, twice[::-1]) if group is GroupKind.DIHEDRAL else (twice,)
+    return CircularTuple(tuple(min(t[q:q + n] for t in turns for q in range(n))))
 
 
 def orbit_count(n: int, group: GroupKind, weight: int | None = None) -> int:

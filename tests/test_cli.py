@@ -420,6 +420,51 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
         assert failure["pair"][lhs < rhs] == route
 
 
+def test_verify_probes_detect_injected_faults(capsys, monkeypatch):
+    # two faults that only the probes can see, on one orbit that the probes at
+    # n = 7 reach: its members' canonical forms skewed, and its least tuple's
+    # bit cleared from the cyclic minima mask.  The orbit is a bad one, so no
+    # count moves, and the one failing record is the probes' at n = 7
+    n, dihedral = 7, model.GroupKind.DIHEDRAL
+    real_form, real_compare = oracle.canonical_form, oracle._compare
+    probed = set()
+
+    def recording_form(b, kind):
+        if b.n == n:
+            probed.add(real_form(b, dihedral))
+        return real_form(b, kind)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "canonical_form", recording_form)
+        assert all(c["agree"] for c in cli.verify_checks(8, cli.DEFAULT_SEED, 5))
+    good = oracle.Scan(n).good
+    target = min((t for t in probed if len(set(t.bits)) == 2 and not good >> int(str(t), 2) & 1),
+                 key=lambda t: t.bits)
+
+    def skewed_form(b, kind):
+        form = real_form(b, kind)
+        if b.n == n and real_form(b, dihedral) == target:
+            return model.CircularTuple(tuple(1 - x for x in form.bits))
+        return form
+
+    def cleared_compare(columns, full, sigma):
+        less, equal = real_compare(columns, full, sigma)
+        if sigma == model.GroupElement.rotation(n, 1):  # it fixes only the constant tuples
+            less &= ~(1 << int(str(target), 2))
+        return less, equal
+
+    for name, skew in (("canonical_form", skewed_form), ("_compare", cleared_compare)):
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, name, skew)
+            code, out, err = run(capsys, "verify", "--max-n", "8")
+        assert code == 1, name
+        assert "n=7" in err and "canonical-probes" in err
+        report = json.loads(out)
+        failures = [c for c in report["checks"] if not c["agree"]]
+        assert failures == [report["first_failure"]], name
+        assert (failures[0]["n"], failures[0]["subject"]) == (n, "canonical-probes")
+
+
 def test_verify_fix_partition_compares_two_goodness_rules(monkeypatch):
     # call the regular hexagon no polygon in the corner-gap mask only: the
     # zero-run rule still says it is not bad, so good + bad != all for every
@@ -443,14 +488,18 @@ def test_verify_fix_partition_compares_two_goodness_rules(monkeypatch):
 
 def test_verify_runs_one_comparator_per_element_and_group(capsys, monkeypatch):
     # each of the 66 elements of the dihedral groups for n = 3..8 is compared
-    # twice: once for the orbit minima and once for its fixed set, whose
-    # mask gives the good, all-minus-bad and per-weight counts
+    # once for the orbit minima, which keeps its good fixed count; the first
+    # element of each of the 26 classes is compared again for its fixed set,
+    # whose mask gives the good, all-minus-bad and per-weight counts
     calls = []
     real = oracle._compare
     monkeypatch.setattr(oracle, "_compare", lambda *args: calls.append(args[2]) or real(*args))
     code, _, _ = run(capsys, "verify", "--max-n", "8")
     assert code == 0
-    assert len(calls) == 132 and len(set(calls)) == 66
+    assert len(calls) == 92 and len(set(calls)) == 66
+    reruns = [sigma for sigma in set(calls) if calls.count(sigma) == 2]
+    assert len(reruns) == 26 and all(calls.count(sigma) <= 2 for sigma in calls)
+    assert len({(sigma.n, model.classify(sigma)) for sigma in reruns}) == 26
 
 
 def test_verify_checks_hold_one_scan_at_a_time(monkeypatch):

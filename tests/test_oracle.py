@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -92,6 +93,51 @@ def test_orbit_minima_run_each_group_element_once(monkeypatch, groups, compares)
             scan.orbit_count(kind)
         assert len(calls) == compares * n and len(set(calls)) == len(calls)
         calls.clear()
+
+
+@pytest.mark.parametrize("order", [GROUPS, GROUPS[::-1]], ids=["dihedral-first", "cyclic-first"])
+def test_kept_good_fixed_counts_equal_a_fresh_comparator(order):
+    # the good fixed count that the orbit-minima pass keeps for each element,
+    # against the fixed-set mask of a comparator run for that element alone
+    for n in range(3, 13):
+        scan = Scan(n)
+        for kind, _ in order:
+            scan.orbit_count(kind)
+        for sigma in dihedral_group(n):
+            assert scan.fixed_good_count(sigma) == scan.count(scan.fixed(sigma) & scan.good)
+    with pytest.raises(ValueError):
+        Scan(8).fixed_good_count(GroupElement.rotation(6, 0))
+
+
+def test_unweighted_counts_build_no_weight_or_bad_masks(monkeypatch):
+    # the weight masks are built for the first weighted count and the bad
+    # mask for the first read of scan.bad; an unweighted count builds neither.
+    # A held scan gains the weight masks' size with its first weighted count,
+    # and the peak of a weighted count is above an unweighted one's by most
+    # of it: the minima pass's own temporaries set the unweighted peak
+    weights = sum(map(sys.getsizeof, oracle._weights(18)))
+    monkeypatch.setattr(oracle, "_bad_mask", None)  # a call would fail
+    orbit_count(5, GroupKind.DIHEDRAL)  # first-call allocations outside the measure
+    for kind in GroupKind:
+        peaks = []
+        for weight in (None, 9):
+            tracemalloc.start()
+            try:
+                orbit_count(18, kind, weight)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] >= weights // 2, (kind, peaks, weights)
+        tracemalloc.start()
+        try:
+            scan = Scan(18)
+            scan.orbit_count(kind)
+            unweighted = tracemalloc.get_traced_memory()[0]
+            scan.orbit_count(kind, 9)
+            weighted = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert weighted - unweighted >= weights, (kind, unweighted, weighted, weights)
 
 
 def test_orbit_count_keeps_nothing():
