@@ -9,10 +9,8 @@ from .census import (
     InternalError,
     asymptotic_mgon_coefficient,
     count_mgons,
-    count_mgons_cyclic,
     count_mgons_via_burnside,
     count_polygons,
-    count_polygons_cyclic,
     count_polygons_via_burnside,
     quadrilaterals_nearest,
     triangles_nearest,

@@ -14,32 +14,22 @@ rotation classes' `fixcount` values itself on purpose, which keeps the
 two routes independent.
 `polygon_values` is the one evaluation of the polygon closed form, over
 n = start..end with the divisors of every n from one sieve, and
-`count_polygons` and `count_polygons_cyclic` read a run of one n.
+`count_polygons` reads a run of one n.
 `polygon_decimal` is the same run with every power of two built in exact
 decimal arithmetic, so that no term needs a base conversion to be printed:
 the polygon b-files read it, and `count` reads a run of one n when the
 count is huge.
 `mgon_values` is the m-gon closed form along n for a fixed m: the `pmn`
-b-files read it, and `count_mgons` and `count_mgons_cyclic` read a run of
-one n.  `mgon_columns` is the same closed form evaluated one perimeter at
-a time, from Pascal's triangle, with its own rotation accumulation, for
-`table`, which needs every cell; one cell may be far too large for Pascal
-rows.  Tests tie each run to the assembly route:
-tests/test_census.py::test_mgon_values_equal_burnside_assembly checks
-`mgon_values` against the assembly route for m = 3..12 and n <= 400, under
-both groups, tests/test_census.py::test_closed_forms_equal_burnside_assembly
-checks `mgon_columns` against `count_mgons` and the assembly route cell by
-cell for n <= 200, tests/test_census.py::test_polygon_values_equal_single_counts
-checks `polygon_values` against the assembly route for n <= 1000 and
-against runs of one n, tests/test_census.py::test_polygon_decimal_equals_int_counts
-checks `polygon_decimal` against the int run, in runs and in runs of one n
-up to n = 10^5 + 3, and
-tests/test_cli.py::test_table_matches_cell_by_cell_census
-ties the printed table to `count_mgons`.  Every route's m-gon count is 0
-outside 3 <= m <= n.
+b-files read it, and `count_mgons` reads a run of one n.  `mgon_columns`
+is the same closed form evaluated one perimeter at a time, from Pascal's
+triangle, with its own rotation accumulation, for `table`, which needs
+every cell; one cell may be far too large for Pascal rows.  The tests tie
+each run to the assembly route.  Every route's m-gon count is 0 outside
+3 <= m <= n.
 
-Equivalence means rotation and/or reversal of the side ordering; the
-"cyclic" variants drop reversal and quotient by rotations only.
+Every count takes the group whose orbits it counts: the dihedral group by
+default, identifying side orderings up to rotation and reversal, or the
+cyclic group, up to rotation only.
 """
 
 from __future__ import annotations
@@ -62,10 +52,8 @@ __all__ = [
     "InternalError",
     "asymptotic_mgon_coefficient",
     "count_mgons",
-    "count_mgons_cyclic",
     "count_mgons_via_burnside",
     "count_polygons",
-    "count_polygons_cyclic",
     "count_polygons_via_burnside",
     "mgon_columns",
     "mgon_values",
@@ -109,19 +97,20 @@ def _exact_context():
 # closed forms
 
 
-def count_mgons(n: int, m: int) -> int:
-    """Inequivalent integer m-gons with perimeter n.
+def count_mgons(n: int, m: int, group: GroupKind = GroupKind.DIHEDRAL) -> int:
+    """Integer m-gons with perimeter n, inequivalent under the group.
 
     Returns 0 whenever no such polygon exists (m < 3 or m > n), so callers
     may sweep rectangular (m, n) grids without guards.
     """
-    return next(mgon_values(m, n, n))
+    return next(mgon_values(m, n, n, group))
 
 
-def mgon_values(m: int, start: int, end: int, cyclic: bool = False) -> Iterator[int]:
-    """Yield count_mgons(n, m), or count_mgons_cyclic(n, m) if cyclic, for
-    n = start..end: 0 below n = max(m, 3) and for every n when m < 3; the
-    run is empty when end < start.
+def mgon_values(m: int, start: int, end: int,
+                group: GroupKind = GroupKind.DIHEDRAL) -> Iterator[int]:
+    """Yield count_mgons(n, m, group) for n = start..end: 0 below
+    n = max(m, 3) and for every n when m < 3; the run is empty when
+    end < start.
 
     The m-gon closed form along n for a fixed m.  The rotations sum
     phi(d) C(n/d, m/d) over the divisors d of gcd(n, m): the divisors of m
@@ -139,6 +128,7 @@ def mgon_values(m: int, start: int, end: int, cyclic: bool = False) -> Iterator[
         return
     rotations = [(d, totient(d), m // d) for d in divisors(m if end > start else gcd(start, m))]
     k = m // 2
+    cyclic = group is GroupKind.CYCLIC
     what = "cyclic fix sum ({},{})" if cyclic else "m-gon census numerator ({},{})"
     for n in range(max(start, first), end + 1):
         x = -1 if cyclic else k + (n - m) // 2
@@ -201,14 +191,16 @@ def mgon_columns(max_n: int) -> Iterator[tuple[int, list[int]]]:
         yield n, column
 
 
-def count_polygons(n: int) -> int:
-    """Inequivalent integer polygons (any number of sides) with perimeter n."""
-    return next(polygon_values(n, n))
+def count_polygons(n: int, group: GroupKind = GroupKind.DIHEDRAL) -> int:
+    """Integer polygons (any number of sides) with perimeter n, inequivalent
+    under the group."""
+    return next(polygon_values(n, n, group))
 
 
-def polygon_values(start: int, end: int, cyclic: bool = False) -> Iterator[int]:
-    """Return the run of count_polygons(n), or count_polygons_cyclic(n) if
-    cyclic, for n = start..end; the run is empty when end < start.
+def polygon_values(start: int, end: int,
+                   group: GroupKind = GroupKind.DIHEDRAL) -> Iterator[int]:
+    """Return the run of count_polygons(n, group) for n = start..end; the
+    run is empty when end < start.
 
     The one evaluation of the polygon closed form; start is checked at the
     call, not when the run is first read.  The divisors of all n in the run
@@ -219,10 +211,11 @@ def polygon_values(start: int, end: int, cyclic: bool = False) -> Iterator[int]:
     """
     if start < 3:
         raise ValueError(f"perimeter must be at least 3, got {start}")
-    return _polygon_run(start, max(end, start - 1), cyclic, (1).__lshift__)
+    return _polygon_run(start, max(end, start - 1), group, (1).__lshift__)
 
 
-def polygon_decimal(start: int, end: int, cyclic: bool = False) -> Iterator[Decimal]:
+def polygon_decimal(start: int, end: int,
+                    group: GroupKind = GroupKind.DIHEDRAL) -> Iterator[Decimal]:
     """The run of polygon_values, with the same contract, each term an exact
     decimal.Decimal whose str() is the count's decimal text: no term needs
     an int-to-decimal conversion.
@@ -260,7 +253,7 @@ def polygon_decimal(start: int, end: int, cyclic: bool = False) -> Iterator[Deci
 
     scope = contextvars.copy_context()  # the exact context, entered for each term
     scope.run(decimal.setcontext, exact)
-    run = _polygon_run(start, max(end, start - 1), cyclic, power)
+    run = _polygon_run(start, max(end, start - 1), group, power)
     return iter(partial(scope.run, next, run, None), None)
 
 
@@ -298,7 +291,7 @@ def _extend_totients(totients: list[int], primes: list[int], top: int) -> None:
             totients[p::p] = [v - v // p for v in totients[p::p]]
 
 
-def _polygon_run(start: int, end: int, cyclic: bool, power) -> Iterator:
+def _polygon_run(start: int, end: int, group: GroupKind, power) -> Iterator:
     """The run for n = start..end, with 2^k read from power(k): an int or an
     exact Decimal, as the caller chooses.
 
@@ -319,6 +312,7 @@ def _polygon_run(start: int, end: int, cyclic: bool, power) -> Iterator:
         if end % d <= width:  # some multiple of d lies in start..end
             for n in range(max(d * d, -(-start // d) * d), end + 1, d):
                 small[end - n].append(d)
+    cyclic = group is GroupKind.CYCLIC
     order, what = ((1, "cyclic rotation sum (n={})") if cyclic
                    else (2, "polygon rotation sum (n={})"))
     phi = totient
@@ -375,33 +369,16 @@ def _group_average(n: int, group: GroupKind, fix) -> int:
 
 def count_polygons_via_burnside(n: int, group: GroupKind = GroupKind.DIHEDRAL) -> int:
     """Polygon count assembled from per-class fixed-set sizes over the group;
-    must equal count_polygons(n), or count_polygons_cyclic(n) if cyclic."""
+    must equal count_polygons(n, group)."""
     return _group_average(n, group, lambda cls: fix_polygons(n, cls))
 
 
 def count_mgons_via_burnside(n: int, m: int, group: GroupKind = GroupKind.DIHEDRAL) -> int:
     """m-gon count assembled from per-class fixed-set sizes over the group; 0
-    outside 3 <= m <= n, else equal to count_mgons(n, m) or count_mgons_cyclic(n, m)."""
+    outside 3 <= m <= n, else equal to count_mgons(n, m, group)."""
     if m < 3 or m > n:
         return 0
     return _group_average(n, group, lambda cls: fix_mgons(n, m, cls))
-
-
-# ---------------------------------------------------------------------------
-# cyclic variants (rotation-only equivalence)
-
-
-def count_mgons_cyclic(n: int, m: int) -> int:
-    """Integer m-gons with perimeter n, inequivalent up to rotation only.
-
-    Returns 0 outside 3 <= m <= n, like count_mgons.
-    """
-    return next(mgon_values(m, n, n, cyclic=True))
-
-
-def count_polygons_cyclic(n: int) -> int:
-    """Integer polygons with perimeter n, inequivalent up to rotation only."""
-    return next(polygon_values(n, n, cyclic=True))
 
 
 # ---------------------------------------------------------------------------

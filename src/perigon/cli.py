@@ -44,8 +44,8 @@ DEFAULT_SEED = 1729
 FAMILIES = {
     "pmn": lambda start, end, m: census.mgon_values(m, start, end),
     "pn": lambda start, end, m: census.polygon_decimal(start, end),
-    "pmn-cyclic": lambda start, end, m: census.mgon_values(m, start, end, cyclic=True),
-    "pn-cyclic": lambda start, end, m: census.polygon_decimal(start, end, cyclic=True),
+    "pmn-cyclic": lambda start, end, m: census.mgon_values(m, start, end, model.GroupKind.CYCLIC),
+    "pn-cyclic": lambda start, end, m: census.polygon_decimal(start, end, model.GroupKind.CYCLIC),
     "triangles-nearest": lambda start, end, m: map(census.triangles_nearest,
                                                    range(start, end + 1)),
     "quadrilaterals-nearest": lambda start, end, m: map(census.quadrilaterals_nearest,
@@ -157,7 +157,7 @@ def _fmt_count(v) -> str:
     return str(v)
 
 
-def _evaluate_count(n: int, m: int | None, cyclic: bool, method: str,
+def _evaluate_count(n: int, m: int | None, group: model.GroupKind, method: str,
                     scan: oracle.Scan | None = None):
     """The count by one route: an int, or a Decimal for a closed-form
     polygon count when n passes _decimal_path (the count has fewer than n
@@ -166,10 +166,9 @@ def _evaluate_count(n: int, m: int | None, cyclic: bool, method: str,
     if method == "closed":
         if m is None:
             if _decimal_path(n):
-                return next(census.polygon_decimal(n, n, cyclic))
-            return census.count_polygons_cyclic(n) if cyclic else census.count_polygons(n)
-        return census.count_mgons_cyclic(n, m) if cyclic else census.count_mgons(n, m)
-    group = model.GroupKind.CYCLIC if cyclic else model.GroupKind.DIHEDRAL
+                return next(census.polygon_decimal(n, n, group))
+            return census.count_polygons(n, group)
+        return census.count_mgons(n, m, group)
     if method == "burnside":
         if m is None:
             return census.count_polygons_via_burnside(n, group)
@@ -190,7 +189,8 @@ def cmd_count(args: argparse.Namespace) -> int:
         raise CliError(f"--n must be at least 3 (a polygon needs perimeter >= 3), got {n}")
     if args.method == "oracle" and n > oracle.ORACLE_MAX_N:
         raise CliError(f"--n {n} exceeds the oracle bound {oracle.ORACLE_MAX_N}")
-    value = _evaluate_count(n, m, args.cyclic, args.method)
+    group = model.GroupKind.CYCLIC if args.cyclic else model.GroupKind.DIHEDRAL
+    value = _evaluate_count(n, m, group, args.method)
     if args.format == "json":
         import json
 
@@ -345,13 +345,15 @@ def _checks_at(n: int, rng, probes: int):
     which goes when the checks end: never two perimeters' masks at once,
     110 MB at n = 24."""
     scan = oracle.Scan(n)
+    dihedral, cyclic = model.GroupKind.DIHEDRAL, model.GroupKind.CYCLIC
     for m in (None, *range(3, n + 1)):
-        closed = [_evaluate_count(n, m, cyclic, "closed") for cyclic in (False, True)]
-        for cyclic, method in ((False, "burnside"), (False, "oracle"), (True, "oracle")):
-            subject = ("polygons" if m is None else "mgons") + ("-cyclic" if cyclic else "")
+        closed = {group: _evaluate_count(n, m, group, "closed") for group in (dihedral, cyclic)}
+        for group, method in ((dihedral, "burnside"), (dihedral, "oracle"), (cyclic, "oracle")):
+            subject = (("polygons" if m is None else "mgons")
+                       + ("-cyclic" if group is cyclic else ""))
             yield _check({"n": n, "m": m, "subject": subject,
                           "pair": [METHOD_NAMES["closed"], METHOD_NAMES[method]]},
-                         closed[cyclic], _evaluate_count(n, m, cyclic, method, scan))
+                         closed[group], _evaluate_count(n, m, group, method, scan))
 
     # per class: fixed-set formulas from its first element's mask, same count for the rest
     elements = list(model.dihedral_group(n))  # the rotations first
@@ -385,8 +387,7 @@ def _checks_at(n: int, rng, probes: int):
     for _ in range(probes):
         a = model.CircularTuple(tuple(rng.randrange(2) for _ in range(n)))
         images = [model.apply(g, a) for g in elements]
-        for kind, orbit in ((model.GroupKind.CYCLIC, set(images[:n])),
-                            (model.GroupKind.DIHEDRAL, set(images))):
+        for kind, orbit in ((cyclic, set(images[:n])), (dihedral, set(images))):
             least = min(orbit, key=lambda t: t.bits)
             if ([b for b in orbit if scan.is_minimum(b, kind)] != [least]
                     or any(oracle.canonical_form(b, kind).bits != least.bits for b in orbit)):

@@ -112,6 +112,13 @@ class GroupKind(Enum):
     DIHEDRAL = "dihedral"
 
 
+def _points(n: int) -> int:
+    """n, checked to be a circle's point count."""
+    if n < 3:
+        raise ValueError("the circle needs at least 3 points")
+    return n
+
+
 class GroupElement(_Record):
     """One symmetry of the n marked circle points: a rotation or a reflection.
 
@@ -127,8 +134,7 @@ class GroupElement(_Record):
     def __init__(self, n: int, q: int, is_reflection: bool = False) -> None:
         if type(n) is not int or type(q) is not int or type(is_reflection) is not bool:
             raise ValueError("n and q must be ints and is_reflection a bool")
-        if n < 3:
-            raise ValueError("the circle needs at least 3 points")
+        _points(n)
         if not 0 <= q < n:
             raise ValueError(f"offset {q} not reduced mod {n}")
         object.__setattr__(self, "n", n)
@@ -140,11 +146,11 @@ class GroupElement(_Record):
 
     @classmethod
     def rotation(cls, n: int, q: int) -> GroupElement:
-        return cls(n, q % n, False)
+        return cls(n, q % _points(n), False)
 
     @classmethod
     def reflection(cls, n: int, q: int) -> GroupElement:
-        return cls(n, q % n, True)
+        return cls(n, q % _points(n), True)
 
     def permutes(self, i: int) -> int:
         """Image of position i under this symmetry."""
@@ -204,7 +210,7 @@ class ElementClass(_Record):
 
 def cyclic_group(n: int) -> Iterator[GroupElement]:
     """The n rotations."""
-    return (GroupElement.rotation(n, q) for q in range(n))
+    return (GroupElement.rotation(n, q) for q in range(_points(n)))
 
 
 def dihedral_group(n: int) -> Iterator[GroupElement]:

@@ -30,7 +30,6 @@ from .model import CircularTuple, GroupElement, GroupKind, bad_block_threshold, 
 
 __all__ = [
     "ORACLE_MAX_N",
-    "GroupKind",
     "Scan",
     "canonical_form",
     "orbit_count",

@@ -1,11 +1,15 @@
 import decimal
 from fractions import Fraction
+from math import factorial, lcm
 
 import pytest
 
 from perigon import census
+from perigon.model import GroupKind
 from perigon.numtheory import divisors, totient
-from perigon.oracle import GroupKind, orbit_count
+from perigon.oracle import orbit_count
+
+CYCLIC = GroupKind.CYCLIC
 
 
 def test_count_mgons_examples():
@@ -25,12 +29,10 @@ def test_count_mgons_degenerate_is_zero():
 def test_every_route_is_zero_on_degenerate_m():
     for n in (3, 4, 7, 10, 12):
         for m in (0, 1, 2, n + 1):
-            assert census.count_mgons(n, m) == 0
-            assert census.count_mgons_cyclic(n, m) == 0
-            assert census.count_mgons_via_burnside(n, m) == 0
-            assert census.count_mgons_via_burnside(n, m, GroupKind.CYCLIC) == 0
-            assert orbit_count(n, GroupKind.DIHEDRAL, weight=m) == 0
-            assert orbit_count(n, GroupKind.CYCLIC, weight=m) == 0
+            for group in GroupKind:
+                assert census.count_mgons(n, m, group) == 0
+                assert census.count_mgons_via_burnside(n, m, group) == 0
+                assert orbit_count(n, group, weight=m) == 0
 
 
 def test_count_polygons_examples():
@@ -40,10 +42,9 @@ def test_count_polygons_examples():
 
 
 def test_count_polygons_rejects_small_n():
-    with pytest.raises(ValueError):
-        census.count_polygons(2)
-    with pytest.raises(ValueError):
-        census.count_polygons_cyclic(2)
+    for group in GroupKind:
+        with pytest.raises(ValueError):
+            census.count_polygons(2, group)
 
 
 def test_burnside_assembly_examples():
@@ -56,21 +57,20 @@ def test_burnside_assembly_rejects_bad_input():
     with pytest.raises(ValueError):
         census.count_polygons_via_burnside(2)
     with pytest.raises(ValueError):
-        census.count_polygons_via_burnside(2, GroupKind.CYCLIC)
+        census.count_polygons_via_burnside(2, CYCLIC)
     assert census.count_mgons_via_burnside(10, 2) == 0
     assert census.count_mgons_via_burnside(10, 11) == 0
 
 
 def test_closed_forms_equal_burnside_assembly():
-    routes = ((GroupKind.DIHEDRAL, census.count_polygons, census.count_mgons),
-              (GroupKind.CYCLIC, census.count_polygons_cyclic, census.count_mgons_cyclic))
-    for group, polygons, mgons in routes:
+    for group in GroupKind:
         # the shifted powers of two at large n, in every residue of n mod 4
         for n in (*range(3, 201), *range(10**5, 10**5 + 4)):
-            assert polygons(n) == census.count_polygons_via_burnside(n, group)
+            assert census.count_polygons(n, group) == census.count_polygons_via_burnside(n, group)
         for n in range(3, 201):
             for m in range(3, n + 1):
-                assert mgons(n, m) == census.count_mgons_via_burnside(n, m, group)
+                assert census.count_mgons(n, m, group) == \
+                    census.count_mgons_via_burnside(n, m, group)
     # the per-perimeter evaluation, cell by cell, over every n mod 4 and both parities of m
     columns = dict(census.mgon_columns(200))
     assert list(columns) == list(range(3, 201))
@@ -86,55 +86,93 @@ def test_closed_forms_equal_burnside_assembly():
 def test_polygon_values_equal_single_counts():
     # one run over every residue of n mod 4, against the assembly route and
     # against runs of one n, whose sieve has one divisor list to fill
-    routes = ((GroupKind.DIHEDRAL, census.count_polygons),
-              (GroupKind.CYCLIC, census.count_polygons_cyclic))
-    for group, single in routes:
-        cyclic = group is GroupKind.CYCLIC
-        run = list(census.polygon_values(3, 1000, cyclic))
+    for group in GroupKind:
+        run = list(census.polygon_values(3, 1000, group))
         assert run == [census.count_polygons_via_burnside(n, group) for n in range(3, 1001)]
-        assert run == [single(n) for n in range(3, 1001)]
+        assert run == [census.count_polygons(n, group) for n in range(3, 1001)]
         # runs with start <= end / 2 sieve phi and double their powers, shorter
         # ones read totient and each power: both sides of the switch
         for start, end in ((3, 3), (4, 4), (97, 97), (500, 500), (17, 40), (64, 100),
                            (3, 5), (3, 6), (250, 500), (251, 500)):
-            assert list(census.polygon_values(start, end, cyclic)) == run[start - 3:end - 2], \
-                (start, end, cyclic)
-        assert list(census.polygon_values(10, 9, cyclic)) == []
-        assert list(census.polygon_values(3, -5, cyclic)) == []
+            assert list(census.polygon_values(start, end, group)) == run[start - 3:end - 2], \
+                (start, end, group)
+        assert list(census.polygon_values(10, 9, group)) == []
+        assert list(census.polygon_values(3, -5, group)) == []
         with pytest.raises(ValueError) as single_error:
-            single(2)
+            census.count_polygons(2, group)
         with pytest.raises(ValueError) as run_error:
-            census.polygon_values(2, 10, cyclic)
+            census.polygon_values(2, 10, group)
         assert str(run_error.value) == str(single_error.value)
 
 
+def _proof_range(m):
+    """n = m .. m + (m+1) L - 1 with L = lcm(m, 4): m + 1 points in each
+    residue class of n mod L, one more than a proof needs."""
+    return range(m, m + (m + 1) * lcm(m, 4))
+
+
 def test_mgon_values_equal_burnside_assembly():
-    # the run along n for every m = 3..12, both parities of m and every
-    # residue of n mod 4, against the assembly route, under both groups
+    """The closed form equals the assembly route for every n >= m, for
+    m = 3..20, under both groups: a proof for each m, not a sample.
+
+    For n >= m each route is, within each residue class of n mod
+    L = lcm(m, 4), a polynomial in n of degree at most m - 1.  Each route
+    sums binomials C(x, k), times constants or multiples of n, and divides
+    the sum by the group order, n or 2n.  Each x is n/d for a divisor d of
+    m, n//2, n//2 - 1, n//4, (n+2)//4 or m//2 + (n-m)//2.  Within the class,
+    whether d divides n is settled, and x is linear in n and at least 0, so
+    C(x, k) is the polynomial x (x-1) ... (x-k+1) / k! of degree k.  Every
+    binomial with k >= m comes from a rotation, C(n/d, m/d), and n divides
+    it as a polynomial, since C(x, j) = (x/j) C(x-1, j-1).  Two polynomials
+    of degree at most m - 1 that agree at m points are equal, so agreement
+    at m points of each class is agreement at every n >= m (R. Stanley,
+    Enumerative Combinatorics I, 2nd ed., section 4.4).  _proof_range holds
+    m + 1 points of each class; below n = m both routes are 0.
+    """
     for group in GroupKind:
-        cyclic = group is GroupKind.CYCLIC
-        for m in range(3, 13):
-            assert list(census.mgon_values(m, 3, 400, cyclic)) == \
-                [census.count_mgons_via_burnside(n, m, group) for n in range(3, 401)], (m, group)
+        for m in range(3, 21):
+            span = _proof_range(m)
+            assert list(census.mgon_values(m, span.start, span.stop - 1, group)) == \
+                [census.count_mgons_via_burnside(n, m, group) for n in span], (m, group)
+
+
+def test_mgon_growth_law_is_exact():
+    # the paper's p(m, n) ~ c(m) n^(m-1) as an exact statement: within each
+    # residue class of n mod L = lcm(m, 4) the count is a polynomial of degree
+    # m - 1 whose leading coefficient is c(m), or 2 c(m) without reversals.
+    # Forward differences with step L show it: the m-th is 0, and the
+    # (m-1)-th is (m-1)! L^(m-1) times that coefficient
+    for group in GroupKind:
+        for m in range(3, 21):
+            span, step = _proof_range(m), lcm(m, 4)
+            values = list(census.mgon_values(m, span.start, span.stop - 1, group))
+            lead = census.asymptotic_mgon_coefficient(m) * (2 if group is CYCLIC else 1)
+            for r in range(step):
+                column = values[r::step]  # m + 1 values, n = m + r + i L for i = 0..m
+                for _ in range(m - 1):
+                    column = [b - a for a, b in zip(column, column[1:])]
+                assert column[1] - column[0] == 0, (m, group, r)
+                assert column[0] == factorial(m - 1) * step ** (m - 1) * lead, (m, group, r)
 
 
 def test_mgon_values_runs_of_one_n_equal_the_long_run():
     # a run of one n takes the divisors of gcd(n, m), a longer run those of m
-    for cyclic in (False, True):
+    for group in GroupKind:
         for m in (12, 30, 60):
-            assert [next(census.mgon_values(m, n, n, cyclic)) for n in range(1, 201)] == \
-                list(census.mgon_values(m, 1, 200, cyclic)), (m, cyclic)
+            assert [next(census.mgon_values(m, n, n, group)) for n in range(1, 201)] == \
+                list(census.mgon_values(m, 1, 200, group)), (m, group)
 
 
 def test_mgon_values_start_below_m_yield_zeros():
-    for cyclic, single in ((False, census.count_mgons), (True, census.count_mgons_cyclic)):
-        assert list(census.mgon_values(7, 1, 12, cyclic)) == \
-            [0] * 6 + [single(n, 7) for n in range(7, 13)] == [single(n, 7) for n in range(1, 13)]
-        assert list(census.mgon_values(7, -3, 5, cyclic)) == [0] * 9
+    for group in GroupKind:
+        single = [census.count_mgons(n, 7, group) for n in range(1, 13)]
+        assert list(census.mgon_values(7, 1, 12, group)) == single
+        assert single[:6] == [0] * 6
+        assert list(census.mgon_values(7, -3, 5, group)) == [0] * 9
         for m in (2, 1, 0, -4):  # no m-gon at any n
-            assert list(census.mgon_values(m, 1, 20, cyclic)) == [0] * 20
-        assert list(census.mgon_values(7, 10, 9, cyclic)) == []
-        assert list(census.mgon_values(7, 12, 5, cyclic)) == []
+            assert list(census.mgon_values(m, 1, 20, group)) == [0] * 20
+        assert list(census.mgon_values(7, 10, 9, group)) == []
+        assert list(census.mgon_values(7, 12, 5, group)) == []
 
 
 def test_mgon_values_compute_each_binomial_once_per_term(monkeypatch):
@@ -145,13 +183,13 @@ def test_mgon_values_compute_each_binomial_once_per_term(monkeypatch):
     calls = []
     real = census.binomial
     monkeypatch.setattr(census, "binomial", lambda x, k: calls.append((x, k)) or real(x, k))
-    for single in (census.count_mgons, census.count_mgons_cyclic):
+    for group in GroupKind:
         for m in range(3, 13):
             for n in range(m, 101):
                 calls.clear()
-                single(n, m)
+                census.count_mgons(n, m, group)
                 nontrivial = [(x, k) for x, k in calls if 0 < k < x]
-                assert len(nontrivial) == len(set(nontrivial)), (single.__name__, m, n, calls)
+                assert len(nontrivial) == len(set(nontrivial)), (group, m, n, calls)
     calls.clear()
     census.count_mgons(20, 6)  # C(10, 3) is read for d = 2, and C(5, 3) once
     assert sorted(calls) == [(5, 3), (10, 3), (10, 5), (20, 6)]
@@ -161,19 +199,19 @@ def test_polygon_decimal_equals_int_counts(unlimited_int_str):
     # the int run in exact decimal, term by term: one run from 3, sub-runs, and
     # runs of one n below, at and above 2^15 bits, in every residue of n mod 4,
     # under both groups
-    for cyclic, single in ((False, census.count_polygons), (True, census.count_polygons_cyclic)):
+    for group in GroupKind:
         for start, end in ((3, 2000), (17, 40), (64, 100), (777, 800), (3, 5), (3, 6),
                            (250, 500), (251, 500)):
-            assert ([str(v) for v in census.polygon_decimal(start, end, cyclic)]
-                    == [str(v) for v in census.polygon_values(start, end, cyclic)]), \
-                (start, end, cyclic)
+            assert ([str(v) for v in census.polygon_decimal(start, end, group)]
+                    == [str(v) for v in census.polygon_values(start, end, group)]), \
+                (start, end, group)
         for n in (*range(3, 60), *range(2**15 - 1, 2**15 + 4), *range(10**5, 10**5 + 4)):
-            assert [str(v) for v in census.polygon_decimal(n, n, cyclic)] == [str(single(n))], \
-                (n, cyclic)
-        assert list(census.polygon_decimal(10, 9, cyclic)) == []
-        assert list(census.polygon_decimal(3, -5, cyclic)) == []
+            assert ([str(v) for v in census.polygon_decimal(n, n, group)]
+                    == [str(census.count_polygons(n, group))]), (n, group)
+        assert list(census.polygon_decimal(10, 9, group)) == []
+        assert list(census.polygon_decimal(3, -5, group)) == []
         with pytest.raises(ValueError, match="at least 3"):
-            census.polygon_decimal(2, 10, cyclic)  # at the call, before the run is read
+            census.polygon_decimal(2, 10, group)  # at the call, before the run is read
 
 
 def test_polygon_decimal_leaves_the_callers_context():
@@ -200,7 +238,7 @@ def test_skewed_totient_fails_both_polygon_routes(monkeypatch):
         with pytest.raises(census.InternalError, match=rf"\(n={n}\) \(\d+ digits\)"):
             next(census.polygon_decimal(n, n))
         with pytest.raises(census.InternalError, match=rf"cyclic rotation sum \(n={n}\)"):
-            next(census.polygon_decimal(n, n, cyclic=True))
+            next(census.polygon_decimal(n, n, CYCLIC))
     # a longer run yields the terms before the first even n, then stops there
     run = census.polygon_decimal(17, 30)
     assert next(run) == census.count_polygons(17)
@@ -244,23 +282,23 @@ def test_unsimplified_average_matches_closed_form():
 
 
 def test_cyclic_examples():
-    assert census.count_mgons_cyclic(12, 3) == 4
+    assert census.count_mgons(12, 3, CYCLIC) == 4
     # 6 orbits: 3311, 3131, 3221, 3212, 3122, 2222 as cyclic side sequences
-    assert census.count_mgons_cyclic(8, 4) == 6
+    assert census.count_mgons(8, 4, CYCLIC) == 6
     for n in range(5, 11):
-        assert census.count_mgons_cyclic(n, n) == 1
-    assert census.count_polygons_cyclic(3) == 1
-    assert census.count_polygons_cyclic(10) == 75
+        assert census.count_mgons(n, n, CYCLIC) == 1
+    assert census.count_polygons(3, CYCLIC) == 1
+    assert census.count_polygons(10, CYCLIC) == 75
 
 
 def test_cyclic_between_one_and_two_dihedral_counts():
     # dropping reversals splits each orbit into at most two
     for n in range(3, 61):
         pn = census.count_polygons(n)
-        assert pn <= census.count_polygons_cyclic(n) <= 2 * pn
+        assert pn <= census.count_polygons(n, CYCLIC) <= 2 * pn
         for m in range(3, n + 1):
             pmn = census.count_mgons(n, m)
-            assert pmn <= census.count_mgons_cyclic(n, m) <= 2 * pmn
+            assert pmn <= census.count_mgons(n, m, CYCLIC) <= 2 * pmn
 
 
 # ---------------------------------------------------------------------------
@@ -275,28 +313,10 @@ def test_triangles_nearest_examples():
         census.triangles_nearest(0)
 
 
-def test_triangles_nearest_agrees_with_census():
-    for n in range(3, 2001):
-        assert census.triangles_nearest(n) == census.count_mgons(n, 3)
-
-
 def test_quadrilaterals_nearest_examples():
     assert census.quadrilaterals_nearest(6) == 2
     assert census.quadrilaterals_nearest(13) == 22
     assert census.quadrilaterals_nearest(20) == 75
-
-
-# the exact quadrilateral count is cubic(n) / 96, one cubic per residue of n
-# mod 4: the coefficients of n^3, n^2, n and 1
-QUADRILATERAL_CUBICS = {0: (1, -3, 20, 0), 1: (1, 0, -7, 6), 2: (1, -3, 20, -36), 3: (1, 0, -7, -6)}
-
-
-def test_quadrilaterals_agree_with_census():
-    for n in range(4, 2001):
-        expected = census.count_mgons(n, 4)
-        assert census.quadrilaterals_nearest(n) == expected
-        a, b, c, d = QUADRILATERAL_CUBICS[n % 4]
-        assert divmod(((a * n + b) * n + c) * n + d, 96) == (expected, 0)
 
 
 def test_nearest_rules_never_hit_half_integers():
@@ -307,12 +327,6 @@ def test_nearest_rules_never_hit_half_integers():
 
 # ---------------------------------------------------------------------------
 # integrality and growth
-
-
-def test_rotation_sum_is_divisible():
-    for n in range(3, 2001):
-        total = sum(totient(d) * 2**(n // d - 1) for d in divisors(n))
-        assert total % n == 0
 
 
 def test_polygon_growth_law_is_exact():

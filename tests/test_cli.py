@@ -16,6 +16,7 @@ import pytest
 import perigon
 from perigon import census, cli, model, oracle
 
+CYCLIC = model.GroupKind.CYCLIC
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -87,8 +88,8 @@ def test_count_decimal_route_at_thresholds(capsys, monkeypatch, unlimited_int_st
     real = census.polygon_decimal
     built = []
     monkeypatch.setattr(census, "polygon_decimal",
-                        lambda start, end, cyclic=False: built.append((start, end))
-                        or real(start, end, cyclic))
+                        lambda start, end, group: built.append((start, end))
+                        or real(start, end, group))
     cases = [(0, cli._DECIMAL_FROM_BITS + d) for d in (-1, 0, 1)]
     if hasattr(sys, "set_int_max_str_digits"):
         cases += [(4300, 3 * 4300 + d) for d in (-1, 0, 1)]
@@ -237,9 +238,10 @@ def test_bfile_matches_census_values(capsys):
         ("pmn", ("--m", "5"), 5, 5): lambda n: census.count_mgons(n, 5),
         ("pn", (), 3, 3): census.count_polygons,
         ("pn", ("--start", "17", "--offset", "1"), 17, 1): census.count_polygons,
-        ("pmn-cyclic", ("--m", "3"), 3, 3): lambda n: census.count_mgons_cyclic(n, 3),
-        ("pn-cyclic", (), 3, 3): census.count_polygons_cyclic,
-        ("pn-cyclic", ("--start", "17", "--offset", "1"), 17, 1): census.count_polygons_cyclic,
+        ("pmn-cyclic", ("--m", "3"), 3, 3): lambda n: census.count_mgons(n, 3, CYCLIC),
+        ("pn-cyclic", (), 3, 3): lambda n: census.count_polygons(n, CYCLIC),
+        ("pn-cyclic", ("--start", "17", "--offset", "1"), 17, 1):
+            lambda n: census.count_polygons(n, CYCLIC),
         ("triangles-nearest", (), 1, 1): census.triangles_nearest,
         ("quadrilaterals-nearest", (), 1, 1): census.quadrilaterals_nearest,
     }
@@ -399,7 +401,7 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     # failure names it, on the side of the pair that holds the larger value
     skews = [
         (census, "count_mgons", "closed-form",
-         lambda real: lambda n, m: real(n, m) + ((n, m) == (7, 4))),
+         lambda real: lambda n, m, group: real(n, m, group) + ((n, m) == (7, 4))),
         (census, "count_mgons_via_burnside", "burnside",
          lambda real: lambda n, m, group: real(n, m, group) + ((n, m) == (7, 4))),
         (oracle.Scan, "orbit_count", "oracle",
@@ -732,7 +734,7 @@ def test_process_ends_without_interpreter_teardown(module):
 def test_process_exits_with_status_1_on_a_disagreement():
     skew = ("from perigon import census\n"
             "real = census.count_mgons\n"
-            "census.count_mgons = lambda n, m: real(n, m) + ((n, m) == (7, 4))")
+            "census.count_mgons = lambda n, m, group: real(n, m, group) + ((n, m) == (7, 4))")
     done = run_process("verify", "--max-n", "8", prelude=skew)
     assert done.returncode == 1
     assert json.loads(done.stdout)["all_agree"] is False

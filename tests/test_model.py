@@ -292,3 +292,14 @@ def test_group_generators():
     assert len(list(cyclic_group(7))) == 7
     assert len(list(dihedral_group(7))) == 14
     assert all(not s.is_reflection for s in cyclic_group(9))
+
+
+@pytest.mark.parametrize("n", [-3, -1, 0, 1, 2])
+@pytest.mark.parametrize("build", [
+    lambda n: GroupElement.rotation(n, 0), lambda n: GroupElement.reflection(n, 0),
+    lambda n: list(cyclic_group(n)), lambda n: list(dihedral_group(n))],
+    ids=["rotation", "reflection", "cyclic-group", "dihedral-group"])
+def test_small_circles_raise_the_constructors_error(build, n):
+    # no ZeroDivisionError from q % n at n = 0, and no empty group for n < 0
+    with pytest.raises(ValueError, match="^the circle needs at least 3 points$"):
+        build(n)
