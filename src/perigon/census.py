@@ -161,7 +161,8 @@ def mgon_columns(max_n: int) -> Iterator[tuple[int, list[int]]]:
     divisors of gcd(n, m) in every cell.
     """
     kept = [[1]]  # Pascal rows 0..max_n // 2
-    row = [1]
+    row, totients = [1], [0, 1]
+    _extend_totients(totients, [], max_n)
     for n in range(1, max_n + 1):
         row = [1, *map(add, row, row[1:]), 1]
         if n <= max_n // 2:
@@ -170,7 +171,7 @@ def mgon_columns(max_n: int) -> Iterator[tuple[int, list[int]]]:
             continue
         rotations = row[:]  # the identity's term, C(n, m)
         for d in divisors(n)[1:]:
-            phi = totient(d)
+            phi = totients[d]
             rotations[d::d] = [s + phi * c for s, c in zip(rotations[d::d], kept[n // d][1:])]
         # the reflection rows, zero-padded so that out-of-range k reads C(x, k) = 0
         half, half_odd, quarter, quarter_even = (

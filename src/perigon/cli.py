@@ -355,26 +355,25 @@ def _checks_at(n: int, rng, probes: int):
                           "pair": [METHOD_NAMES["closed"], METHOD_NAMES[method]]},
                          closed[group], _evaluate_count(n, m, group, method, scan))
 
-    # per class: fixed-set formulas from its first element's mask, same count for the rest
+    # per class: fixed-set formulas from its first element's counts, same count for the rest
     elements = list(model.dihedral_group(n))  # the rotations first
     seen: dict[model.ElementClass, int] = {}
     independent = True
     for sigma in elements:
         cls = model.classify(sigma)
         if cls not in seen:
-            fixed = scan.fixed(sigma)
-            good = fixed & scan.good
-            seen[cls] = direct_good = scan.count(good)
+            good, every, bad = scan.fixed_counts(sigma)
+            seen[cls] = direct_good = sum(good)
             yield _check({"n": n, "m": None, "subject": "fix-polygons",
                           "class": str(cls), "pair": ["formula", "direct"]},
                          fixcount.fix_polygons(n, cls), direct_good)
             yield _check({"n": n, "m": None, "subject": "fix-partition",
                           "class": str(cls), "pair": ["good", "all-minus-bad"]},
-                         direct_good, scan.count(fixed) - scan.count(fixed & scan.bad))
+                         direct_good, every - bad)
             for m in range(3, n + 1):
                 yield _check({"n": n, "m": m, "subject": "fix-mgons",
                               "class": str(cls), "pair": ["formula", "direct"]},
-                             fixcount.fix_mgons(n, m, cls), scan.count(good, weight=m))
+                             fixcount.fix_mgons(n, m, cls), good[m])
         elif seen[cls] != scan.fixed_good_count(sigma):
             independent = False
     yield _check({"n": n, "m": None, "subject": "fix-class-independence",
@@ -382,7 +381,7 @@ def _checks_at(n: int, rng, probes: int):
 
     # randomized canonical-form probes: every member of a random tuple's
     # orbit has the explicit orbit minimum as its canonical form, and the
-    # minimum is the one member set in the oracle's orbit-minima mask
+    # minimum is the one member that the oracle's orbit minima hold
     probes_ok = True
     for _ in range(probes):
         a = model.CircularTuple(tuple(rng.randrange(2) for _ in range(n)))

@@ -9,9 +9,9 @@ Every count here is the popcount of such a mask.  Tuples are packed with
 position 0 in the top bit, so integer order is lexicographic order.
 
 The masks of one perimeter live in a Scan, which its caller builds, asks
-every question at that n (orbit counts, orbit minima, fixed sets and their
-counts) and drops; the module keeps no state between calls.  orbit_count
-and canonical_form answer one question each without a held scan.
+every question at that n (orbit counts, orbit minima, fixed counts) and
+drops; the module keeps no state between calls.  orbit_count and
+canonical_form answer one question each without a held scan.
 
 The duplication of the formula modules is deliberate and lives here.  No
 arithmetic is shared with census, fixcount or numtheory (no divisors,
@@ -36,8 +36,8 @@ __all__ = [
 ]
 
 # measured with Python 3.11.7 on 2 vCPUs: `verify --max-n 24` runs in 6.8-8.5 s
-# end to end with a peak RSS of 154-157 MB, as the C heap places the 2 MB masks
-# (tracemalloc's peak is 130 MB); each +1 doubles both
+# end to end with a peak RSS of 148 MB, as the C heap places the 2 MB masks
+# (tracemalloc's peak is 126 MB); each +1 doubles both
 ORACLE_MAX_N = 24
 
 
@@ -107,9 +107,9 @@ def _compare(columns: list[int], full: int, sigma: GroupElement) -> tuple[int, i
 
 
 class Scan:
-    """The masks over all packed n-tuples that the counts are read from:
-    `full` (every tuple), `good` and `bad` (by the two goodness rules);
-    `bad` and the n + 1 weight masks are built when first asked for.
+    """Counts over all packed n-tuples, read from masks that stay in this
+    module: every tuple, the good and the bad ones (by the two goodness
+    rules); the bad and the n + 1 weight masks are built when first needed.
 
     The caller builds one per perimeter, asks it every question at that n
     and drops it; nothing outlives the last reference.  At n = 24 the masks
@@ -117,30 +117,33 @@ class Scan:
 
     def __init__(self, n: int):
         _check_scale(n)
-        self.n, self.full = n, (1 << (1 << n)) - 1
-        self.columns = _columns(n)
-        self.good = _good_mask(n, self.columns, self.full)
-        self._minima: dict[GroupKind, tuple[int, int]] = {}
+        self.n, self._full = n, (1 << (1 << n)) - 1
+        self._columns = _columns(n)
+        self._good = _good_mask(n, self._columns, self._full)
+        self._minima: dict[GroupKind, tuple[bytes, int]] = {}
         self._good_fixed: dict[GroupElement, int] = {}
 
-    bad = cached_property(lambda self: _bad_mask(self.n, self.columns, self.full))
-    weights = cached_property(lambda self: _weights(self.n))
+    _bad = cached_property(lambda self: _bad_mask(self.n, self._columns, self._full))
+    _weights = cached_property(lambda self: _weights(self.n))
 
-    def _least(self, group: GroupKind) -> tuple[int, int]:
-        """Masks of the orbit minima (x <= g.x for every g) and of the good ones;
-        the dihedral minima are the cyclic ones that no reflection undercuts."""
-        if group not in self._minima:
+    def _least(self, group: GroupKind) -> tuple[bytes, int]:
+        """Orbit minima (x <= g.x for every g) as bytes and the good ones as a
+        mask; the dihedral minima are the cyclic ones that no reflection undercuts."""
+        minima = self._minima.get(group)
+        if minima is None:
             if group is GroupKind.DIHEDRAL:
-                least = self._least(GroupKind.CYCLIC)[0]
+                least = int.from_bytes(self._least(GroupKind.CYCLIC)[0], "little")
                 elements = (GroupElement.reflection(self.n, q) for q in range(self.n))
             else:
-                least, elements = self.full, cyclic_group(self.n)
+                least, elements = self._full, cyclic_group(self.n)
             for sigma in elements:
-                less, equal = _compare(self.columns, self.full, sigma)
+                less, equal = _compare(self._columns, self._full, sigma)
                 least &= less | equal
-                self._good_fixed[sigma] = (equal & self.good).bit_count()  # fixed_good_count
-            self._minima[group] = least, least & self.good
-        return self._minima[group]
+                self._good_fixed[sigma] = (equal & self._good).bit_count()  # fixed_good_count
+            # tuple x at bit x % 8 of byte x // 8: is_minimum reads one byte
+            minima = self._minima[group] = (least.to_bytes(1 << self.n >> 3, "little"),
+                                            least & self._good)
+        return minima
 
     def orbit_count(self, group: GroupKind, weight: int | None = None) -> int:
         """Number of orbits of good n-tuples under the group, counted directly
@@ -151,21 +154,28 @@ class Scan:
         """
         if weight is not None and not 3 <= weight <= self.n:
             return 0
-        return self.count(self._least(group)[1], weight)
+        good = self._least(group)[1]
+        return (good if weight is None else good & self._weights[weight]).bit_count()
 
     def is_minimum(self, a: CircularTuple, group: GroupKind) -> bool:
         """True iff a is the least tuple of its orbit, read from the exhaustive
-        orbit-minima mask, which holds exactly one member of every orbit."""
+        orbit minima, which hold exactly one member of every orbit."""
         if a.n != self.n:
             raise ValueError(f"tuple has {a.n} positions, scan is over {self.n}")
         x = 0
         for b in a.bits:  # position 0 in the top bit
             x = 2 * x + b
-        return bool(self._least(group)[0] >> x & 1)
+        return bool(self._least(group)[0][x >> 3] >> (x & 7) & 1)
 
-    def fixed(self, sigma: GroupElement) -> int:
-        """Mask of the tuples that sigma fixes; read counts from it with count."""
-        return _compare(self.columns, self.full, self._own(sigma))[1]
+    def fixed_counts(self, sigma: GroupElement) -> tuple[list[int], int, int]:
+        """(good, every, bad) for the tuples that sigma fixes: good[m] counts the
+        good ones with m corners, m = 0..n; every and bad count all and the bad.
+        Good comes from the corner-gap test and bad from the zero-run rule, so
+        sum(good) == every - bad compares two goodness rules."""
+        fixed = _compare(self._columns, self._full, self._own(sigma))[1]
+        good = fixed & self._good
+        return ([*map(int.bit_count, map(good.__and__, self._weights))],
+                fixed.bit_count(), (fixed & self._bad).bit_count())
 
     def fixed_good_count(self, sigma: GroupElement) -> int:
         """Number of good tuples that sigma fixes, kept by the orbit-minima pass."""
@@ -176,18 +186,6 @@ class Scan:
         if sigma.n != self.n:
             raise ValueError(f"element acts on {sigma.n} points, scan is over {self.n}")
         return sigma
-
-    def count(self, mask: int, weight: int | None = None) -> int:
-        """Number of the tuples in mask that, with a weight filter m, have m
-        corners; AND the mask with `good` or `bad` first to count only those.
-
-        Good tuples are found by the corner-gap test and bad ones by the
-        model's zero-run rule, so the check that good and bad add up to all
-        tuples compares two goodness rules; `verify` and the tests lean on it.
-        """
-        if weight is not None and not 0 <= weight <= self.n:
-            raise ValueError(f"weight filter must satisfy 0 <= m <= n, got m={weight}")
-        return (mask if weight is None else mask & self.weights[weight]).bit_count()
 
 
 def canonical_form(a: CircularTuple, group: GroupKind) -> CircularTuple:

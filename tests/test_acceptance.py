@@ -98,12 +98,11 @@ def test_c4_fix_set_formulas_match_direct_counts():
     for n in range(3, 21):
         scan = oracle.Scan(n)
         for sigma in model.dihedral_group(n):
-            cls, fixed = model.classify(sigma), scan.fixed(sigma)
-            good = fixed & scan.good
-            assert scan.count(good) == scan.count(fixed) - scan.count(fixed & scan.bad)
-            assert fixcount.fix_polygons(n, cls) == scan.count(good)
+            cls, (good, every, bad) = model.classify(sigma), scan.fixed_counts(sigma)
+            assert sum(good) == every - bad
+            assert fixcount.fix_polygons(n, cls) == sum(good)
             for m in range(3, n + 1):
-                assert fixcount.fix_mgons(n, m, cls) == scan.count(good, weight=m)
+                assert fixcount.fix_mgons(n, m, cls) == good[m]
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0, f"fix sweep took {elapsed:.2f} s"
 

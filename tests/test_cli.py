@@ -439,7 +439,7 @@ def test_verify_probes_detect_injected_faults(capsys, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "canonical_form", recording_form)
         assert all(c["agree"] for c in cli.verify_checks(8, cli.DEFAULT_SEED, 5))
-    good = oracle.Scan(n).good
+    good = oracle.Scan(n)._good
     target = min((t for t in probed if len(set(t.bits)) == 2 and not good >> int(str(t), 2) & 1),
                  key=lambda t: t.bits)
 
@@ -479,10 +479,8 @@ def test_verify_fix_partition_compares_two_goodness_rules(monkeypatch):
 
     monkeypatch.setattr(oracle, "_good_mask", broken)
     scan = oracle.Scan(6)
-    identity = scan.fixed(model.GroupElement.rotation(6, 0))
-    good, bad, everything = (scan.count(identity & mask) for mask in
-                             (scan.good, scan.bad, scan.full))
-    assert good != everything - bad
+    good, every, bad = scan.fixed_counts(model.GroupElement.rotation(6, 0))
+    assert sum(good) != every - bad
     partition = [c for c in cli.verify_checks(6, cli.DEFAULT_SEED, 0)
                  if c["subject"] == "fix-partition" and c["n"] == 6]
     assert partition and not any(c["agree"] for c in partition)
@@ -492,7 +490,7 @@ def test_verify_runs_one_comparator_per_element_and_group(capsys, monkeypatch):
     # each of the 66 elements of the dihedral groups for n = 3..8 is compared
     # once for the orbit minima, which keeps its good fixed count; the first
     # element of each of the 26 classes is compared again for its fixed set,
-    # whose mask gives the good, all-minus-bad and per-weight counts
+    # which gives the good, all-minus-bad and per-weight counts
     calls = []
     real = oracle._compare
     monkeypatch.setattr(oracle, "_compare", lambda *args: calls.append(args[2]) or real(*args))

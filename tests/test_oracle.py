@@ -100,19 +100,47 @@ def test_orbit_minima_run_each_group_element_once(monkeypatch, groups, compares)
 def test_kept_good_fixed_counts_equal_a_fresh_comparator(order):
     # the good fixed count that the orbit-minima pass keeps for each element,
     # against the fixed-set mask of a comparator run for that element alone
+    # and against the sum of fixed_counts' per-weight good counts
     for n in range(3, 13):
         scan = Scan(n)
         for kind, _ in order:
             scan.orbit_count(kind)
         for sigma in dihedral_group(n):
-            assert scan.fixed_good_count(sigma) == scan.count(scan.fixed(sigma) & scan.good)
+            fixed = oracle._compare(scan._columns, scan._full, sigma)[1]
+            assert scan.fixed_good_count(sigma) == (fixed & scan._good).bit_count()
+            assert scan.fixed_good_count(sigma) == sum(scan.fixed_counts(sigma)[0])
     with pytest.raises(ValueError):
         Scan(8).fixed_good_count(GroupElement.rotation(6, 0))
 
 
+def test_fixed_counts_reject_an_element_of_another_n():
+    scan = Scan(8)
+    for sigma in (GroupElement.rotation(6, 0), GroupElement.reflection(9, 2)):
+        with pytest.raises(ValueError):
+            scan.fixed_counts(sigma)
+
+
+def test_is_minimum_copies_no_mask():
+    # a probe reads one byte of the orbit minima: no copy of the 128 KB mask
+    # at n = 20 (a shift of the mask by the packed tuple would copy it)
+    scan = Scan(20)
+    one = CircularTuple((0,) * 19 + (1,))  # packed value 1
+    for kind in GroupKind:
+        scan.is_minimum(one, kind)  # builds the minima outside the measure
+    tracemalloc.start()
+    try:
+        for kind in GroupKind:
+            for _ in range(10):
+                assert scan.is_minimum(one, kind)  # the least of its orbit
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, f"{peak} bytes at peak"
+
+
 def test_unweighted_counts_build_no_weight_or_bad_masks(monkeypatch):
     # the weight masks are built for the first weighted count and the bad
-    # mask for the first read of scan.bad; an unweighted count builds neither.
+    # mask for the first fixed count; an unweighted orbit count builds neither.
     # A held scan gains the weight masks' size with its first weighted count,
     # and the peak of a weighted count is above an unweighted one's by most
     # of it: the minima pass's own temporaries set the unweighted peak
@@ -169,24 +197,25 @@ def test_orbit_count_examples():
 
 
 def test_fixed_mask_counts_examples():
-    scan = Scan(4)
-    identity = scan.fixed(GroupElement.rotation(4, 0))
-    assert scan.count(identity) == 16
-    assert scan.count(identity & scan.good) == 1
-    scan = Scan(6)
-    assert scan.count(scan.fixed(GroupElement.rotation(6, 3)) & scan.good) == 4
+    good, every, bad = Scan(4).fixed_counts(GroupElement.rotation(4, 0))
+    assert (good, every, bad) == ([0, 0, 0, 0, 1], 16, 15)
+    assert sum(Scan(6).fixed_counts(GroupElement.rotation(6, 3))[0]) == 4
 
 
 def test_good_plus_bad_is_all():
     for n in range(3, 15):
         scan = Scan(n)
+        weights = oracle._weights(n)
         for sigma in dihedral_group(n):
-            fixed = scan.fixed(sigma)
-            good, bad = fixed & scan.good, fixed & scan.bad
-            assert scan.count(good) + scan.count(bad) == scan.count(fixed)
-            for m in range(0, n + 1):
-                assert (scan.count(good, weight=m) + scan.count(bad, weight=m)
-                        == scan.count(fixed, weight=m))
+            good, every, bad = scan.fixed_counts(sigma)
+            assert sum(good) + bad == every
+            # per weight, with the fixed set's mask for the bad and all counts
+            fixed = oracle._compare(scan._columns, scan._full, sigma)[1]
+            assert len(good) == len(weights) == n + 1
+            for m, weight in enumerate(weights):
+                assert good[m] == (fixed & scan._good & weight).bit_count()
+                assert good[m] + (fixed & scan._bad & weight).bit_count() \
+                    == (fixed & weight).bit_count()
 
 
 def test_orbit_count_matches_group_average():
@@ -196,21 +225,24 @@ def test_orbit_count_matches_group_average():
         for kind, elements in ((GroupKind.DIHEDRAL, list(dihedral_group(n))),
                                (GroupKind.CYCLIC,
                                 [s for s in dihedral_group(n) if not s.is_reflection])):
-            good = [scan.fixed(s) & scan.good for s in elements]
-            total = sum(scan.count(f) for f in good)
+            good = [scan.fixed_counts(s)[0] for s in elements]
+            total = sum(map(sum, good))
             assert total % len(elements) == 0
             assert scan.orbit_count(kind) == total // len(elements)
             for m in range(3, n + 1):
-                total = sum(scan.count(f, weight=m) for f in good)
+                total = sum(g[m] for g in good)
                 assert scan.orbit_count(kind, weight=m) == total // len(elements)
 
 
 def test_identity_weight_counts_are_binomials():
     for n in range(3, 15):
         scan = Scan(n)
-        identity = scan.fixed(GroupElement.rotation(n, 0))
-        for m in range(0, n + 1):
-            assert scan.count(identity, weight=m) == math.comb(n, m)
+        # the identity fixes every tuple, good or bad, whose weights are binomials
+        good, every, bad = scan.fixed_counts(GroupElement.rotation(n, 0))
+        assert every == 1 << n and bad == scan._bad.bit_count()
+        for m, weight in enumerate(oracle._weights(n)):
+            assert (scan._full & weight).bit_count() == math.comb(n, m)
+            assert good[m] + (scan._bad & weight).bit_count() == math.comb(n, m)
 
 
 def test_scale_bound():
@@ -230,9 +262,6 @@ def test_weight_filter_validation():
     assert orbit_count(8, GroupKind.DIHEDRAL, weight=2) == 0
     scan = Scan(8)
     assert scan.orbit_count(GroupKind.DIHEDRAL, weight=9) == 0
-    with pytest.raises(ValueError):
-        scan.count(scan.full, weight=9)
-    with pytest.raises(ValueError):
-        scan.fixed(GroupElement.rotation(6, 0))
+    assert scan.orbit_count(GroupKind.DIHEDRAL, weight=2) == 0
     with pytest.raises(ValueError):
         scan.is_minimum(tup("0101"), GroupKind.DIHEDRAL)
