@@ -341,9 +341,8 @@ def _check(entry: dict, lhs, rhs) -> dict:
 
 
 def _checks_at(n: int, rng, probes: int):
-    """The checks at perimeter n.  This frame holds the one oracle scan of n,
-    which goes when the checks end: never two perimeters' masks at once,
-    110 MB at n = 24."""
+    """The checks at perimeter n, from one oracle scan of n: its orbit counts
+    and minima, and every element's fixed counts, come from one pass per group."""
     scan = oracle.Scan(n)
     dihedral, cyclic = model.GroupKind.DIHEDRAL, model.GroupKind.CYCLIC
     for m in (None, *range(3, n + 1)):
@@ -355,15 +354,15 @@ def _checks_at(n: int, rng, probes: int):
                           "pair": [METHOD_NAMES["closed"], METHOD_NAMES[method]]},
                          closed[group], _evaluate_count(n, m, group, method, scan))
 
-    # per class: fixed-set formulas from its first element's counts, same count for the rest
+    # per class: fixed-set formulas from its first element's counts, same counts for the rest
     elements = list(model.dihedral_group(n))  # the rotations first
-    seen: dict[model.ElementClass, int] = {}
+    seen: dict[model.ElementClass, tuple[list[int], int, int]] = {}
     independent = True
     for sigma in elements:
-        cls = model.classify(sigma)
+        cls, counts = model.classify(sigma), scan.fixed_counts(sigma)
         if cls not in seen:
-            good, every, bad = scan.fixed_counts(sigma)
-            seen[cls] = direct_good = sum(good)
+            seen[cls] = good, every, bad = counts
+            direct_good = sum(good)
             yield _check({"n": n, "m": None, "subject": "fix-polygons",
                           "class": str(cls), "pair": ["formula", "direct"]},
                          fixcount.fix_polygons(n, cls), direct_good)
@@ -374,7 +373,7 @@ def _checks_at(n: int, rng, probes: int):
                 yield _check({"n": n, "m": m, "subject": "fix-mgons",
                               "class": str(cls), "pair": ["formula", "direct"]},
                              fixcount.fix_mgons(n, m, cls), good[m])
-        elif seen[cls] != scan.fixed_good_count(sigma):
+        elif seen[cls] != counts:
             independent = False
     yield _check({"n": n, "m": None, "subject": "fix-class-independence",
                   "pair": ["direct", "direct"]}, independent, True)

@@ -94,13 +94,6 @@ class CircularTuple(_Record):
     def n(self) -> int:
         return len(self.bits)
 
-    @classmethod
-    def from_text(cls, text: str) -> CircularTuple:
-        """Parse a '0'/'1' string; the leftmost character is position 0."""
-        if set(text) - {"0", "1"}:
-            raise ValueError(f"not a bitstring: {text!r}")
-        return cls(tuple(int(c) for c in text))
-
     def __str__(self) -> str:
         return "".join(map(str, self.bits))
 

@@ -1,17 +1,22 @@
 """Brute-force ground truth for the closed-form counts, by exhaustive scans.
 
-A set of packed n-tuples is one 2^n-bit int whose bit x is set iff tuple x
-is in the set (bit-slicing: E. Biham, "A fast new DES implementation in
-software", FSE 1997).  Column i, the tuples with a corner at position i, is
-a periodic bit pattern; a symmetry only permutes columns, and a
-lexicographic comparator over them marks the least tuple of every orbit.
-Every count here is the popcount of such a mask.  Tuples are packed with
-position 0 in the top bit, so integer order is lexicographic order.
+A set of packed n-tuples is an int whose bit x is set iff tuple x is in the
+set (bit-slicing: E. Biham, "A fast new DES implementation in software",
+FSE 1997).  Column i, the tuples with a corner at position i, is a periodic
+bit pattern; a symmetry only permutes columns, and a lexicographic
+comparator over them marks the least tuple of every orbit (the orbit
+minima of orderly generation: R. C. Read, "Every one a winner", Ann.
+Discrete Math. 2, 1978).  Every count here is a popcount of such a mask.
+Tuples are packed with position 0 in the top bit, so integer order is
+lexicographic order.
 
-The masks of one perimeter live in a Scan, which its caller builds, asks
-every question at that n (orbit counts, orbit minima, fixed counts) and
-drops; the module keeps no state between calls.  orbit_count and
-canonical_form answer one question each without a held scan.
+A Scan goes over the 2^n tuples one block of 2^k at a time, k = min(n, _LOW):
+the tuples of a block share their top n - k positions, whose columns are
+constants there (all ones or zero), and the low k columns are the same in
+every block.  The first question about a group runs that group's pass over
+the blocks, which keeps the orbit minima as bytes and counts only; every
+answer is a lookup after that.  The module keeps no state between calls:
+orbit_count and canonical_form answer one question each without a held scan.
 
 The duplication of the formula modules is deliberate and lives here.  No
 arithmetic is shared with census, fixcount or numtheory (no divisors,
@@ -24,8 +29,6 @@ compares the two rules.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .model import CircularTuple, GroupElement, GroupKind, bad_block_threshold, cyclic_group
 
 __all__ = [
@@ -35,10 +38,11 @@ __all__ = [
     "orbit_count",
 ]
 
-# measured with Python 3.11.7 on 2 vCPUs: `verify --max-n 24` runs in 6.8-8.5 s
-# end to end with a peak RSS of 148 MB, as the C heap places the 2 MB masks
-# (tracemalloc's peak is 126 MB); each +1 doubles both
+# measured with Python 3.11.7 on 2 vCPUs: `verify --max-n 24` runs in 2.9-3.8 s
+# end to end with a max RSS of 20 MB; each +1 doubles the time, and only the
+# orbit minima, one bit per tuple and group, grow with n
 ORACLE_MAX_N = 24
+_LOW = 16  # a block is 2^16 tuples: masks of 8 KB
 
 
 def _check_scale(n: int) -> None:
@@ -70,15 +74,15 @@ def _good_mask(n: int, columns: list[int], full: int) -> int:
     """Corner-gap rule: at least three corners and every circular gap below n/2.
 
     A gap of at least n/2 after a corner leaves the next ceil(n/2) - 1
-    positions empty, as one or two corners always do; the empty tuple is
-    dropped on its own."""
+    positions empty, as one or two corners always do; the empty tuple, bit 0
+    where no column has bit 0, is dropped on its own."""
     gapped = 0
     for c in range(n):
         after = 0
         for j in range(1, (n + 1) // 2):
             after |= columns[(c + j) % n]
         gapped |= columns[c] & ~after
-    return full ^ gapped ^ 1
+    return full ^ gapped ^ (not any(c & 1 for c in columns))
 
 
 def _bad_mask(n: int, columns: list[int], full: int) -> int:
@@ -106,43 +110,56 @@ def _compare(columns: list[int], full: int, sigma: GroupElement) -> tuple[int, i
     return less, equal
 
 
-class Scan:
-    """Counts over all packed n-tuples, read from masks that stay in this
-    module: every tuple, the good and the bad ones (by the two goodness
-    rules); the bad and the n + 1 weight masks are built when first needed.
+def _tally(counts: list[int], mask: int, weights: list[int], shift: int) -> None:
+    """Add mask's tuples to counts[m] by weight m: shift plus the weight of
+    the low part, whose masks are weights."""
+    for w, weight in enumerate(weights):
+        counts[shift + w] += (mask & weight).bit_count()
 
-    The caller builds one per perimeter, asks it every question at that n
-    and drops it; nothing outlives the last reference.  At n = 24 the masks
-    take about 110 MB, so drop one scan before building the next."""
+
+class Scan:
+    """Counts over all packed n-tuples from one pass over the blocks per group:
+    its orbit minima, the good minima by weight, and for each element of the
+    group the tuples it fixes (good by weight, every and bad, by the two
+    goodness rules).  No mask outlives its block."""
 
     def __init__(self, n: int):
         _check_scale(n)
-        self.n, self._full = n, (1 << (1 << n)) - 1
-        self._columns = _columns(n)
-        self._good = _good_mask(n, self._columns, self._full)
-        self._minima: dict[GroupKind, tuple[bytes, int]] = {}
-        self._good_fixed: dict[GroupElement, int] = {}
+        self.n = n
+        self._minima: dict[GroupKind, tuple[bytearray, list[int]]] = {}
+        self._fixed: dict[GroupElement, list[int]] = {}
 
-    _bad = cached_property(lambda self: _bad_mask(self.n, self._columns, self._full))
-    _weights = cached_property(lambda self: _weights(self.n))
-
-    def _least(self, group: GroupKind) -> tuple[bytes, int]:
-        """Orbit minima (x <= g.x for every g) as bytes and the good ones as a
-        mask; the dihedral minima are the cyclic ones that no reflection undercuts."""
+    def _least(self, group: GroupKind) -> tuple[bytearray, list[int]]:
+        """Orbit minima (x <= g.x for every g) as bytes, tuple x at bit x % 8
+        of byte x // 8, and the good ones by weight; the dihedral minima are
+        the cyclic ones that no reflection undercuts, block by block."""
         minima = self._minima.get(group)
         if minima is None:
+            n, k = self.n, min(self.n, _LOW)
+            full, size, low, weights = (1 << (1 << k)) - 1, 1 << k >> 3, _columns(k), _weights(k)
             if group is GroupKind.DIHEDRAL:
-                least = int.from_bytes(self._least(GroupKind.CYCLIC)[0], "little")
-                elements = (GroupElement.reflection(self.n, q) for q in range(self.n))
+                cyclic = self._least(GroupKind.CYCLIC)[0]
+                elements = [GroupElement.reflection(n, q) for q in range(n)]
             else:
-                least, elements = self._full, cyclic_group(self.n)
+                cyclic, elements = None, list(cyclic_group(n))
             for sigma in elements:
-                less, equal = _compare(self._columns, self._full, sigma)
-                least &= less | equal
-                self._good_fixed[sigma] = (equal & self._good).bit_count()  # fixed_good_count
-            # tuple x at bit x % 8 of byte x // 8: is_minimum reads one byte
-            minima = self._minima[group] = (least.to_bytes(1 << self.n >> 3, "little"),
-                                            least & self._good)
+                self._fixed[sigma] = [0] * (n + 3)  # good by weight m = 0..n, every, bad
+            minima = (bytearray(1 << n >> 3), [0] * (n + 1))
+            for block in range(1 << n - k):
+                at, top = slice(block * size, (block + 1) * size), block.bit_count()
+                columns = [full if block >> j & 1 else 0 for j in reversed(range(n - k))] + low
+                good, bad = _good_mask(n, columns, full), _bad_mask(n, columns, full)
+                least = full if cyclic is None else int.from_bytes(cyclic[at], "little")
+                for sigma in elements:
+                    less, equal = _compare(columns, full, sigma)
+                    least &= less | equal
+                    counts = self._fixed[sigma]
+                    _tally(counts, equal & good, weights, top)
+                    counts[-2] += equal.bit_count()
+                    counts[-1] += (equal & bad).bit_count()
+                minima[0][at] = least.to_bytes(size, "little")
+                _tally(minima[1], least & good, weights, top)
+            self._minima[group] = minima
         return minima
 
     def orbit_count(self, group: GroupKind, weight: int | None = None) -> int:
@@ -155,7 +172,7 @@ class Scan:
         if weight is not None and not 3 <= weight <= self.n:
             return 0
         good = self._least(group)[1]
-        return (good if weight is None else good & self._weights[weight]).bit_count()
+        return sum(good) if weight is None else good[weight]
 
     def is_minimum(self, a: CircularTuple, group: GroupKind) -> bool:
         """True iff a is the least tuple of its orbit, read from the exhaustive
@@ -172,20 +189,11 @@ class Scan:
         good ones with m corners, m = 0..n; every and bad count all and the bad.
         Good comes from the corner-gap test and bad from the zero-run rule, so
         sum(good) == every - bad compares two goodness rules."""
-        fixed = _compare(self._columns, self._full, self._own(sigma))[1]
-        good = fixed & self._good
-        return ([*map(int.bit_count, map(good.__and__, self._weights))],
-                fixed.bit_count(), (fixed & self._bad).bit_count())
-
-    def fixed_good_count(self, sigma: GroupElement) -> int:
-        """Number of good tuples that sigma fixes, kept by the orbit-minima pass."""
-        self._least(GroupKind.DIHEDRAL if self._own(sigma).is_reflection else GroupKind.CYCLIC)
-        return self._good_fixed[sigma]
-
-    def _own(self, sigma: GroupElement) -> GroupElement:
         if sigma.n != self.n:
             raise ValueError(f"element acts on {sigma.n} points, scan is over {self.n}")
-        return sigma
+        self._least(GroupKind.DIHEDRAL if sigma.is_reflection else GroupKind.CYCLIC)
+        counts = self._fixed[sigma]
+        return counts[:-2], counts[-2], counts[-1]
 
 
 def canonical_form(a: CircularTuple, group: GroupKind) -> CircularTuple:

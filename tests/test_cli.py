@@ -439,7 +439,8 @@ def test_verify_probes_detect_injected_faults(capsys, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "canonical_form", recording_form)
         assert all(c["agree"] for c in cli.verify_checks(8, cli.DEFAULT_SEED, 5))
-    good = oracle.Scan(n)._good
+    columns = oracle._columns(n)
+    good = oracle._good_mask(n, columns, (1 << (1 << n)) - 1)  # over all 2^n tuples
     target = min((t for t in probed if len(set(t.bits)) == 2 and not good >> int(str(t), 2) & 1),
                  key=lambda t: t.bits)
 
@@ -488,18 +489,40 @@ def test_verify_fix_partition_compares_two_goodness_rules(monkeypatch):
 
 def test_verify_runs_one_comparator_per_element_and_group(capsys, monkeypatch):
     # each of the 66 elements of the dihedral groups for n = 3..8 is compared
-    # once for the orbit minima, which keeps its good fixed count; the first
-    # element of each of the 26 classes is compared again for its fixed set,
-    # which gives the good, all-minus-bad and per-weight counts
+    # once, in its group's pass over the one block, which keeps its orbit
+    # minima and every fixed count: no element is compared again
     calls = []
     real = oracle._compare
     monkeypatch.setattr(oracle, "_compare", lambda *args: calls.append(args[2]) or real(*args))
     code, _, _ = run(capsys, "verify", "--max-n", "8")
     assert code == 0
-    assert len(calls) == 92 and len(set(calls)) == 66
-    reruns = [sigma for sigma in set(calls) if calls.count(sigma) == 2]
-    assert len(reruns) == 26 and all(calls.count(sigma) <= 2 for sigma in calls)
-    assert len({(sigma.n, model.classify(sigma)) for sigma in reruns}) == 26
+    assert len(calls) == 66 and len(set(calls)) == 66
+
+
+def test_verify_compares_every_fixed_count_within_a_class(capsys, monkeypatch):
+    # one bad tuple that a non-first reflection of its class already undercuts
+    # is added to that reflection's fixed set: the minima and the good count
+    # stay, every and bad grow by one, and fix-class-independence fails
+    n, sigma = 8, model.GroupElement.reflection(8, 2)
+    first = next(t for t in model.dihedral_group(n) if model.classify(t) == model.classify(sigma))
+    assert first != sigma
+    real = oracle._compare
+
+    def skewed(columns, full, element):
+        less, equal = real(columns, full, element)
+        if element == sigma:
+            extra = less & oracle._bad_mask(n, columns, full)
+            equal |= extra & -extra  # its lowest tuple
+        return less, equal
+
+    monkeypatch.setattr(oracle, "_compare", skewed)
+    scan = oracle.Scan(n)
+    good, every, bad = scan.fixed_counts(first)
+    assert scan.fixed_counts(sigma) == (good, every + 1, bad + 1)
+    code, out, err = run(capsys, "verify", "--max-n", "8")
+    assert code == 1 and "fix-class-independence" in err
+    failures = [c for c in json.loads(out)["checks"] if not c["agree"]]
+    assert [(c["n"], c["subject"]) for c in failures] == [(n, "fix-class-independence")]
 
 
 def test_verify_checks_hold_one_scan_at_a_time(monkeypatch):

@@ -1,6 +1,6 @@
+import collections
 import math
 import random
-import sys
 import tracemalloc
 
 import pytest
@@ -21,7 +21,23 @@ GROUPS = ((GroupKind.DIHEDRAL, dihedral_group), (GroupKind.CYCLIC, cyclic_group)
 
 
 def tup(text):
-    return CircularTuple.from_text(text)
+    return CircularTuple(tuple(map(int, text)))
+
+
+def whole_space(n):
+    """The masks of all 2^n packed tuples at once, built here from the
+    oracle's own rules: (columns, full, good, bad, weights)."""
+    columns, full = oracle._columns(n), (1 << (1 << n)) - 1
+    return (columns, full, oracle._good_mask(n, columns, full),
+            oracle._bad_mask(n, columns, full), oracle._weights(n))
+
+
+def whole_space_fixed_counts(masks, sigma):
+    """fixed_counts(sigma) over the whole space, from a fresh comparator."""
+    columns, full, good, bad, weights = masks
+    fixed = oracle._compare(columns, full, sigma)[1]
+    return ([(fixed & good & weight).bit_count() for weight in weights],
+            fixed.bit_count(), (fixed & bad).bit_count())
 
 
 def test_canonical_form_examples():
@@ -64,7 +80,7 @@ def test_orbit_minima_mask_marks_the_explicit_minima():
     for order in (GROUPS, GROUPS[::-1]):
         for n in range(3, 9):
             scan = Scan(n)
-            everything = [CircularTuple.from_text(format(x, f"0{n}b")) for x in range(1 << n)]
+            everything = [tup(format(x, f"0{n}b")) for x in range(1 << n)]
             for kind, group in order:
                 minima = {min((apply(g, a) for g in group(n)), key=lambda t: t.bits)
                           for a in everything}
@@ -98,19 +114,53 @@ def test_orbit_minima_run_each_group_element_once(monkeypatch, groups, compares)
 
 @pytest.mark.parametrize("order", [GROUPS, GROUPS[::-1]], ids=["dihedral-first", "cyclic-first"])
 def test_kept_good_fixed_counts_equal_a_fresh_comparator(order):
-    # the good fixed count that the orbit-minima pass keeps for each element,
-    # against the fixed-set mask of a comparator run for that element alone
-    # and against the sum of fixed_counts' per-weight good counts
+    # the fixed counts that the orbit-minima pass keeps for each element,
+    # against the whole-space fixed-set mask of a comparator run for that
+    # element alone: the good total, and every count of the triple
     for n in range(3, 13):
-        scan = Scan(n)
+        scan, masks = Scan(n), whole_space(n)
         for kind, _ in order:
             scan.orbit_count(kind)
         for sigma in dihedral_group(n):
-            fixed = oracle._compare(scan._columns, scan._full, sigma)[1]
-            assert scan.fixed_good_count(sigma) == (fixed & scan._good).bit_count()
-            assert scan.fixed_good_count(sigma) == sum(scan.fixed_counts(sigma)[0])
+            fixed = oracle._compare(masks[0], masks[1], sigma)[1]
+            assert sum(scan.fixed_counts(sigma)[0]) == (fixed & masks[2]).bit_count()
+            assert scan.fixed_counts(sigma) == whole_space_fixed_counts(masks, sigma)
     with pytest.raises(ValueError):
-        Scan(8).fixed_good_count(GroupElement.rotation(6, 0))
+        Scan(8).fixed_counts(GroupElement.rotation(6, 0))
+
+
+@pytest.mark.parametrize("low", [3, 4, 5])
+def test_blocks_answer_as_the_whole_space(monkeypatch, low):
+    # blocks of 2^low tuples, so that n = 3..12 spans up to 512 blocks: every
+    # answer against whole-space masks, and each element compared once per block
+    monkeypatch.setattr(oracle, "_LOW", low)
+    real, calls = oracle._compare, collections.Counter()
+
+    def counted(columns, full, sigma):
+        calls[sigma, tuple(c == full for c in columns)] += 1  # the block's top positions
+        return real(columns, full, sigma)
+
+    for n in range(3, 13):
+        masks, everything = whole_space(n), [tup(format(x, f"0{n}b")) for x in range(1 << n)]
+        columns, full, good, _, weights = masks
+        scan = Scan(n)
+        monkeypatch.setattr(oracle, "_compare", counted)
+        for kind, group in GROUPS[::-1] if n % 2 else GROUPS:
+            least = full
+            for sigma in group(n):
+                less, equal = real(columns, full, sigma)
+                least &= less | equal
+            assert scan.orbit_count(kind) == (least & good).bit_count()
+            for m in range(3, n + 1):
+                assert scan.orbit_count(kind, m) == (least & good & weights[m]).bit_count()
+            assert [scan.is_minimum(a, kind) for a in everything] \
+                == [bool(least >> x & 1) for x in range(1 << n)]
+        monkeypatch.setattr(oracle, "_compare", real)
+        for sigma in dihedral_group(n):
+            assert scan.fixed_counts(sigma) == whole_space_fixed_counts(masks, sigma)
+        blocks = 1 << n - min(n, low)
+        assert set(calls.values()) == {1} and len(calls) == 2 * n * blocks
+        calls.clear()
 
 
 def test_fixed_counts_reject_an_element_of_another_n():
@@ -121,8 +171,8 @@ def test_fixed_counts_reject_an_element_of_another_n():
 
 
 def test_is_minimum_copies_no_mask():
-    # a probe reads one byte of the orbit minima: no copy of the 128 KB mask
-    # at n = 20 (a shift of the mask by the packed tuple would copy it)
+    # a probe reads one byte of the orbit minima: no copy of their 128 KB
+    # at n = 20 (a shift of one int by the packed tuple would copy it)
     scan = Scan(20)
     one = CircularTuple((0,) * 19 + (1,))  # packed value 1
     for kind in GroupKind:
@@ -138,40 +188,38 @@ def test_is_minimum_copies_no_mask():
     assert peak < 4096, f"{peak} bytes at peak"
 
 
-def test_unweighted_counts_build_no_weight_or_bad_masks(monkeypatch):
-    # the weight masks are built for the first weighted count and the bad
-    # mask for the first fixed count; an unweighted orbit count builds neither.
-    # A held scan gains the weight masks' size with its first weighted count,
-    # and the peak of a weighted count is above an unweighted one's by most
-    # of it: the minima pass's own temporaries set the unweighted peak
-    weights = sum(map(sys.getsizeof, oracle._weights(18)))
-    monkeypatch.setattr(oracle, "_bad_mask", None)  # a call would fail
+def test_scan_holds_no_mask_wider_than_a_block():
+    # one Scan(20) answers both groups' counts, a weighted count and a fixed
+    # count in well under the 2^20-bit masks of the whole space (128 KB each):
+    # the minima bytes of two groups and one block's masks at a time
     orbit_count(5, GroupKind.DIHEDRAL)  # first-call allocations outside the measure
-    for kind in GroupKind:
-        peaks = []
-        for weight in (None, 9):
-            tracemalloc.start()
-            try:
-                orbit_count(18, kind, weight)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] - peaks[0] >= weights // 2, (kind, peaks, weights)
-        tracemalloc.start()
-        try:
-            scan = Scan(18)
+    tracemalloc.start()
+    try:
+        scan = Scan(20)
+        for kind in GroupKind:
             scan.orbit_count(kind)
-            unweighted = tracemalloc.get_traced_memory()[0]
-            scan.orbit_count(kind, 9)
-            weighted = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert weighted - unweighted >= weights, (kind, unweighted, weighted, weights)
+        scan.orbit_count(GroupKind.DIHEDRAL, 9)
+        scan.fixed_counts(GroupElement.reflection(20, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, f"{peak} bytes at peak"
+    held = [*vars(scan).values()]
+    while held:  # every int the scan keeps, however nested
+        value = held.pop()
+        if isinstance(value, dict):
+            held += [*value.keys(), *value.values()]
+        elif isinstance(value, (list, tuple)):
+            held += value
+        elif isinstance(value, int):
+            assert value.bit_length() <= 1 << 16
+        else:
+            assert isinstance(value, (bytearray, GroupKind, GroupElement)), type(value)
 
 
 def test_orbit_count_keeps_nothing():
-    # a module-level count builds its scan and drops it: about 1.3 MB of
-    # masks at n = 18, none of which may outlive the call
+    # a module-level count builds its scan and drops it: 64 KB of orbit
+    # minima at n = 18, none of which may outlive the call
     orbit_count(5, GroupKind.DIHEDRAL)  # first-call allocations outside the measure
     tracemalloc.start()
     try:
@@ -205,16 +253,16 @@ def test_fixed_mask_counts_examples():
 def test_good_plus_bad_is_all():
     for n in range(3, 15):
         scan = Scan(n)
-        weights = oracle._weights(n)
+        columns, full, good_mask, bad_mask, weights = whole_space(n)
         for sigma in dihedral_group(n):
             good, every, bad = scan.fixed_counts(sigma)
             assert sum(good) + bad == every
-            # per weight, with the fixed set's mask for the bad and all counts
-            fixed = oracle._compare(scan._columns, scan._full, sigma)[1]
+            # per weight, with the fixed set's whole-space mask for the bad and all counts
+            fixed = oracle._compare(columns, full, sigma)[1]
             assert len(good) == len(weights) == n + 1
             for m, weight in enumerate(weights):
-                assert good[m] == (fixed & scan._good & weight).bit_count()
-                assert good[m] + (fixed & scan._bad & weight).bit_count() \
+                assert good[m] == (fixed & good_mask & weight).bit_count()
+                assert good[m] + (fixed & bad_mask & weight).bit_count() \
                     == (fixed & weight).bit_count()
 
 
@@ -237,12 +285,13 @@ def test_orbit_count_matches_group_average():
 def test_identity_weight_counts_are_binomials():
     for n in range(3, 15):
         scan = Scan(n)
+        _, full, _, bad_mask, weights = whole_space(n)
         # the identity fixes every tuple, good or bad, whose weights are binomials
         good, every, bad = scan.fixed_counts(GroupElement.rotation(n, 0))
-        assert every == 1 << n and bad == scan._bad.bit_count()
-        for m, weight in enumerate(oracle._weights(n)):
-            assert (scan._full & weight).bit_count() == math.comb(n, m)
-            assert good[m] + (scan._bad & weight).bit_count() == math.comb(n, m)
+        assert every == 1 << n and bad == bad_mask.bit_count()
+        for m, weight in enumerate(weights):
+            assert (full & weight).bit_count() == math.comb(n, m)
+            assert good[m] + (bad_mask & weight).bit_count() == math.comb(n, m)
 
 
 def test_scale_bound():
