@@ -342,7 +342,7 @@ def _check(entry: dict, lhs, rhs) -> dict:
 
 def _checks_at(n: int, rng, probes: int):
     """The checks at perimeter n, from one oracle scan of n: its orbit counts
-    and minima, and every element's fixed counts, come from one pass per group."""
+    and minima, and every element's fixed counts, come from the scan's one pass."""
     scan = oracle.Scan(n)
     dihedral, cyclic = model.GroupKind.DIHEDRAL, model.GroupKind.CYCLIC
     for m in (None, *range(3, n + 1)):

@@ -13,9 +13,10 @@ lexicographic order.
 A Scan goes over the 2^n tuples one block of 2^k at a time, k = min(n, _LOW):
 the tuples of a block share their top n - k positions, whose columns are
 constants there (all ones or zero), and the low k columns are the same in
-every block.  The first question about a group runs that group's pass over
-the blocks, which keeps the orbit minima as bytes and counts only; every
-answer is a lookup after that.  The module keeps no state between calls:
+every block.  The constructor makes the one pass over the blocks: it compares
+each of the 2n symmetries once per block, the rotations before the
+reflections, and keeps both groups' orbit minima as bytes and counts only;
+every answer is a lookup.  The module keeps no state between calls:
 orbit_count and canonical_form answer one question each without a held scan.
 
 The duplication of the formula modules is deliberate and lives here.  No
@@ -29,7 +30,7 @@ compares the two rules.
 
 from __future__ import annotations
 
-from .model import CircularTuple, GroupElement, GroupKind, bad_block_threshold, cyclic_group
+from .model import CircularTuple, GroupElement, GroupKind, bad_block_threshold, dihedral_group
 
 __all__ = [
     "ORACLE_MAX_N",
@@ -38,7 +39,7 @@ __all__ = [
     "orbit_count",
 ]
 
-# measured with Python 3.11.7 on 2 vCPUs: `verify --max-n 24` runs in 2.9-3.8 s
+# measured with Python 3.11.7 on 2 vCPUs: `verify --max-n 24` runs in 2.1-3.6 s
 # end to end with a max RSS of 20 MB; each +1 doubles the time, and only the
 # orbit minima, one bit per tuple and group, grow with n
 ORACLE_MAX_N = 24
@@ -118,49 +119,39 @@ def _tally(counts: list[int], mask: int, weights: list[int], shift: int) -> None
 
 
 class Scan:
-    """Counts over all packed n-tuples from one pass over the blocks per group:
-    its orbit minima, the good minima by weight, and for each element of the
-    group the tuples it fixes (good by weight, every and bad, by the two
-    goodness rules).  No mask outlives its block."""
+    """Counts over all packed n-tuples from one pass over the blocks, made by
+    the constructor: both groups' orbit minima, the good minima by weight,
+    and for each of the 2n elements the tuples it fixes (good by weight,
+    every and bad, by the two goodness rules).  Every method is a lookup, and
+    no mask outlives its block."""
 
     def __init__(self, n: int):
         _check_scale(n)
-        self.n = n
-        self._minima: dict[GroupKind, tuple[bytearray, list[int]]] = {}
-        self._fixed: dict[GroupElement, list[int]] = {}
-
-    def _least(self, group: GroupKind) -> tuple[bytearray, list[int]]:
-        """Orbit minima (x <= g.x for every g) as bytes, tuple x at bit x % 8
-        of byte x // 8, and the good ones by weight; the dihedral minima are
-        the cyclic ones that no reflection undercuts, block by block."""
-        minima = self._minima.get(group)
-        if minima is None:
-            n, k = self.n, min(self.n, _LOW)
-            full, size, low, weights = (1 << (1 << k)) - 1, 1 << k >> 3, _columns(k), _weights(k)
-            if group is GroupKind.DIHEDRAL:
-                cyclic = self._least(GroupKind.CYCLIC)[0]
-                elements = [GroupElement.reflection(n, q) for q in range(n)]
-            else:
-                cyclic, elements = None, list(cyclic_group(n))
-            for sigma in elements:
-                self._fixed[sigma] = [0] * (n + 3)  # good by weight m = 0..n, every, bad
-            minima = (bytearray(1 << n >> 3), [0] * (n + 1))
-            for block in range(1 << n - k):
-                at, top = slice(block * size, (block + 1) * size), block.bit_count()
-                columns = [full if block >> j & 1 else 0 for j in reversed(range(n - k))] + low
-                good, bad = _good_mask(n, columns, full), _bad_mask(n, columns, full)
-                least = full if cyclic is None else int.from_bytes(cyclic[at], "little")
-                for sigma in elements:
+        self.n, k = n, min(n, _LOW)
+        full, size, low, weights = (1 << (1 << k)) - 1, 1 << k >> 3, _columns(k), _weights(k)
+        elements = list(dihedral_group(n))  # the rotations first
+        # orbit minima (x <= g.x for every g) as bytes, tuple x at bit x % 8
+        # of byte x // 8, and the good ones by weight
+        self._minima = {group: (bytearray(1 << n >> 3), [0] * (n + 1)) for group in GroupKind}
+        # good by weight m = 0..n, every, bad
+        self._fixed = {sigma: [0] * (n + 3) for sigma in elements}
+        for block in range(1 << n - k):
+            at, top = slice(block * size, (block + 1) * size), block.bit_count()
+            columns = [full if block >> j & 1 else 0 for j in reversed(range(n - k))] + low
+            good, bad = _good_mask(n, columns, full), _bad_mask(n, columns, full)
+            # the dihedral minima are the cyclic ones that no reflection undercuts
+            least = full
+            for group, part in ((GroupKind.CYCLIC, elements[:n]), (GroupKind.DIHEDRAL, elements[n:])):
+                for sigma in part:
                     less, equal = _compare(columns, full, sigma)
                     least &= less | equal
                     counts = self._fixed[sigma]
                     _tally(counts, equal & good, weights, top)
                     counts[-2] += equal.bit_count()
                     counts[-1] += (equal & bad).bit_count()
-                minima[0][at] = least.to_bytes(size, "little")
-                _tally(minima[1], least & good, weights, top)
-            self._minima[group] = minima
-        return minima
+                minima, good_minima = self._minima[group]
+                minima[at] = least.to_bytes(size, "little")
+                _tally(good_minima, least & good, weights, top)
 
     def orbit_count(self, group: GroupKind, weight: int | None = None) -> int:
         """Number of orbits of good n-tuples under the group, counted directly
@@ -171,7 +162,7 @@ class Scan:
         """
         if weight is not None and not 3 <= weight <= self.n:
             return 0
-        good = self._least(group)[1]
+        good = self._minima[group][1]
         return sum(good) if weight is None else good[weight]
 
     def is_minimum(self, a: CircularTuple, group: GroupKind) -> bool:
@@ -182,7 +173,7 @@ class Scan:
         x = 0
         for b in a.bits:  # position 0 in the top bit
             x = 2 * x + b
-        return bool(self._least(group)[0][x >> 3] >> (x & 7) & 1)
+        return bool(self._minima[group][0][x >> 3] >> (x & 7) & 1)
 
     def fixed_counts(self, sigma: GroupElement) -> tuple[list[int], int, int]:
         """(good, every, bad) for the tuples that sigma fixes: good[m] counts the
@@ -191,7 +182,6 @@ class Scan:
         sum(good) == every - bad compares two goodness rules."""
         if sigma.n != self.n:
             raise ValueError(f"element acts on {sigma.n} points, scan is over {self.n}")
-        self._least(GroupKind.DIHEDRAL if sigma.is_reflection else GroupKind.CYCLIC)
         counts = self._fixed[sigma]
         return counts[:-2], counts[-2], counts[-1]
 

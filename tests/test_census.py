@@ -131,12 +131,21 @@ def test_mgon_values_equal_burnside_assembly():
     at m points of each class is agreement at every n >= m (R. Stanley,
     Enumerative Combinatorics I, 2nd ed., section 4.4).  _proof_range holds
     m + 1 points of each class; below n = m both routes are 0.
+
+    At m = 2018 = 2 * 1009, a divisor above 1,000, it checks agreement, not
+    proof, on two runs: only a run with end > start tries every divisor of
+    m, and the runs hold n that 1009 divides (2018, 3027) and n that it does
+    not, so a rotation term of d = 1009 or 2018 taken at the wrong n shows.
     """
     for group in GroupKind:
         for m in range(3, 21):
             span = _proof_range(m)
             assert list(census.mgon_values(m, span.start, span.stop - 1, group)) == \
                 [census.count_mgons_via_burnside(n, m, group) for n in span], (m, group)
+        for start, end in ((2018, 2030), (3020, 3040)):
+            assert list(census.mgon_values(2018, start, end, group)) == \
+                [census.count_mgons_via_burnside(n, 2018, group)
+                 for n in range(start, end + 1)], (start, group)
 
 
 def test_mgon_growth_law_is_exact():

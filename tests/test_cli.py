@@ -489,8 +489,9 @@ def test_verify_fix_partition_compares_two_goodness_rules(monkeypatch):
 
 def test_verify_runs_one_comparator_per_element_and_group(capsys, monkeypatch):
     # each of the 66 elements of the dihedral groups for n = 3..8 is compared
-    # once, in its group's pass over the one block, which keeps its orbit
-    # minima and every fixed count: no element is compared again
+    # once, in the pass of its scan's constructor over the one block, which
+    # keeps both groups' orbit minima and every fixed count: no element is
+    # compared again
     calls = []
     real = oracle._compare
     monkeypatch.setattr(oracle, "_compare", lambda *args: calls.append(args[2]) or real(*args))

@@ -155,3 +155,32 @@ def test_binomial_equals_math_comb():
     cases.add((200_002, 100_001))  # a central term near x = 2 * 10^5
     for x, k in sorted(cases):
         assert binomial(x, k) == math.comb(x, k), (x, k)
+
+
+def lucas_residue(x, k, p):
+    """C(x, k) mod a prime p by Lucas's theorem: the product of the binomials
+    of the base-p digits, each from factorials mod p."""
+    fact = [1] * p
+    for i in range(1, p):
+        fact[i] = fact[i - 1] * i % p
+    residue = 1
+    while x or k:
+        (x, a), (k, b) = divmod(x, p), divmod(k, p)
+        if b > a:
+            return 0
+        residue = residue * fact[a] * pow(fact[b] * fact[a - b], -1, p) % p
+    return residue
+
+
+def test_binomial_past_a_million_agrees_with_lucas():
+    # a central term at x = 1.1 * 10^6 takes the prime-product route, whose
+    # Legendre sums reach the prime powers 2^20 and 1009^2 (math.comb would
+    # take seconds here): its residues against Lucas's theorem, modulo primes
+    # that do not divide it, so that a lost or extra factor shows
+    x, k = 1_100_000, 550_000
+    assert min(k, x - k) ** 2 >= numtheory._FACTORISE_RATIO * x
+    value = binomial(x, k)
+    for p in (5, 73, 79, 107, 113):
+        expected = lucas_residue(x, k, p)
+        assert expected, p  # no carry adding k and x - k in base p (Kummer)
+        assert value % p == expected, p

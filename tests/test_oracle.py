@@ -40,6 +40,17 @@ def whole_space_fixed_counts(masks, sigma):
             fixed.bit_count(), (fixed & bad).bit_count())
 
 
+def counting_compare(calls):
+    """oracle._compare, counting its calls by element and block in calls."""
+    real = oracle._compare
+
+    def counted(columns, full, sigma):
+        calls[sigma, tuple(c == full for c in columns)] += 1  # the block's top positions
+        return real(columns, full, sigma)
+
+    return counted
+
+
 def test_canonical_form_examples():
     ones = tup("111111")
     assert canonical_form(ones, GroupKind.DIHEDRAL) == ones
@@ -73,9 +84,9 @@ def test_canonical_form_is_orbit_minimum():
 
 def test_orbit_minima_mask_marks_the_explicit_minima():
     # the least of each orbit by model.apply over the whole group, tuple by
-    # tuple, against the oracle's mask: exactly the minima for small n, and
+    # tuple, against the oracle's minima: exactly the minima for small n, and
     # for random tuples up to n = 20 the minimum is the one member set; each
-    # group is asked for first once, since the dihedral mask reads the cyclic one
+    # group is asked for first once, though the constructor builds both
     rng = random.Random(406)
     for order in (GROUPS, GROUPS[::-1]):
         for n in range(3, 9):
@@ -95,21 +106,27 @@ def test_orbit_minima_mask_marks_the_explicit_minima():
                     assert [b for b in orbit if scan.is_minimum(b, kind)] == [least]
 
 
-@pytest.mark.parametrize("groups, compares", [
-    ((GroupKind.CYCLIC,), 1), ((GroupKind.DIHEDRAL,), 2),
-    ((GroupKind.DIHEDRAL, GroupKind.CYCLIC), 2), ((GroupKind.CYCLIC, GroupKind.DIHEDRAL), 2)],
-    ids=["cyclic", "dihedral", "dihedral-then-cyclic", "cyclic-then-dihedral"])
-def test_orbit_minima_run_each_group_element_once(monkeypatch, groups, compares):
-    # the rotations run once for both groups; a cyclic count stops after them
-    calls = []
-    real = oracle._compare
-    monkeypatch.setattr(oracle, "_compare", lambda *args: calls.append(args[2]) or real(*args))
-    for n in (7, 12):
+@pytest.mark.parametrize("n, low", [(7, 16), (12, 16), (12, 4)], ids=["n7", "n12", "n12-blocks"])
+def test_orbit_minima_run_each_group_element_once(monkeypatch, n, low):
+    # Scan(n) compares each of the 2n elements once per block, all inside its
+    # constructor (256 blocks of 16 tuples in the last case); after that no
+    # question compares again, whichever group is asked first
+    monkeypatch.setattr(oracle, "_LOW", low)
+    calls = collections.Counter()
+    monkeypatch.setattr(oracle, "_compare", counting_compare(calls))
+    blocks, one = 1 << n - min(n, low), CircularTuple((0,) * (n - 1) + (1,))
+    for order in (GROUPS, GROUPS[::-1]):
         scan = Scan(n)
-        for kind in groups:
-            scan.orbit_count(kind)
-        assert len(calls) == compares * n and len(set(calls)) == len(calls)
+        assert set(calls.values()) == {1} and len(calls) == 2 * n * blocks
+        assert {sigma for sigma, _ in calls} == set(dihedral_group(n))
         calls.clear()
+        for kind, _ in order:
+            scan.orbit_count(kind)
+            scan.orbit_count(kind, 5)
+            assert scan.is_minimum(one, kind)
+        for sigma in dihedral_group(n):
+            scan.fixed_counts(sigma)
+        assert not calls
 
 
 @pytest.mark.parametrize("order", [GROUPS, GROUPS[::-1]], ids=["dihedral-first", "cyclic-first"])
@@ -132,19 +149,16 @@ def test_kept_good_fixed_counts_equal_a_fresh_comparator(order):
 @pytest.mark.parametrize("low", [3, 4, 5])
 def test_blocks_answer_as_the_whole_space(monkeypatch, low):
     # blocks of 2^low tuples, so that n = 3..12 spans up to 512 blocks: every
-    # answer against whole-space masks, and each element compared once per block
+    # answer against whole-space masks, and each element compared once per
+    # block while the scan is built
     monkeypatch.setattr(oracle, "_LOW", low)
     real, calls = oracle._compare, collections.Counter()
-
-    def counted(columns, full, sigma):
-        calls[sigma, tuple(c == full for c in columns)] += 1  # the block's top positions
-        return real(columns, full, sigma)
-
+    counted = counting_compare(calls)
     for n in range(3, 13):
         masks, everything = whole_space(n), [tup(format(x, f"0{n}b")) for x in range(1 << n)]
         columns, full, good, _, weights = masks
-        scan = Scan(n)
         monkeypatch.setattr(oracle, "_compare", counted)
+        scan = Scan(n)
         for kind, group in GROUPS[::-1] if n % 2 else GROUPS:
             least = full
             for sigma in group(n):
