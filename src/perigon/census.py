@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from functools import partial
 from math import factorial, gcd, isqrt
-from operator import add
+from operator import add, index
 
 from .fixcount import fix_mgons, fix_polygons
 from .model import GroupKind, element_classes
@@ -393,6 +393,7 @@ def triangles_nearest(n: int) -> int:
     integer arithmetic; the rounded value never sits on a half-integer.
     Agrees with count_mgons(n, 3) for n >= 3 (and is formula-only below).
     """
+    n = index(n)
     if n < 1:
         raise ValueError(f"perimeter must be positive, got {n}")
     square = n * n if n % 2 == 0 else (n + 3) ** 2
@@ -405,6 +406,7 @@ def quadrilaterals_nearest(n: int) -> int:
     [(n^3 - 3n^2 + 20n)/96] for even n, [(n^3 - 7n)/96] for odd n; agrees
     with count_mgons(n, 4) for n >= 4.
     """
+    n = index(n)
     if n < 1:
         raise ValueError(f"perimeter must be positive, got {n}")
     if n % 2 == 0:

@@ -10,21 +10,23 @@ with the code without tearing the interpreter down.
 
 Start-up is part of every command's cost, so a standard-library module that
 only some commands use (decimal, hashlib, json, random) is imported inside
-the function that uses it, not here.
+the function that uses it, not here.  argparse too loads only for help and
+usage errors: main reads a well-formed command line from _COMMANDS itself.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
 from itertools import islice
+from types import SimpleNamespace
 
 from . import census, fixcount, model, oracle
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
 if TYPE_CHECKING:
+    import argparse
     from typing import NoReturn
 
 __all__ = ["main", "run", "verify_checks"]
@@ -452,71 +454,104 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # wiring
 
 
-class _Parser(argparse.ArgumentParser):
-    def print_help(self, file=None) -> None:
-        if file is None and sys.stdout is None:  # argparse would fall back to stderr
-            self.exit(EXIT_USAGE, "error: standard output is closed\n")
-        super().print_help(file)
+_REQUIRED = object()  # the default of an option that must be given
+
+# every command: its help, its handler and its options; an option is (flag,
+# kind, default, help), its dest the flag without "--" and with "-" as "_";
+# kind int or str takes a value, bool is a flag, and a tuple takes one of its values
+_COMMANDS = {
+    "count": ("print one census value", cmd_count, (
+        ("--n", int, _REQUIRED, "perimeter"),
+        ("--m", int, None, "side count (omit to count polygons of any side count)"),
+        ("--cyclic", bool, False, "quotient by rotations only (no reversals)"),
+        ("--method", ("closed", "burnside", "oracle"), "closed", "evaluation route"),
+        ("--format", ("plain", "json"), "plain", None))),
+    "table": ("emit the m-gon triangle and polygon totals", cmd_table, (
+        ("--max-n", int, _REQUIRED, "largest perimeter"),
+        ("--format", ("plain", "csv"), "plain", None))),
+    "bfile": ("emit a sequence in OEIS b-file format", cmd_bfile, (
+        ("--family", tuple(FAMILIES), _REQUIRED, None),
+        ("--m", int, None, "side count, for the pmn families"),
+        ("--start", int, None, "first n (default: the family minimum)"),
+        ("--end", int, _REQUIRED, "last n, inclusive"),
+        ("--offset", int, None, "override the printed start index"),
+        ("--out", str, None, "output path (default: standard output)"))),
+    "verify": ("cross-check closed forms, group averages and the oracle", cmd_verify, (
+        ("--max-n", int, _REQUIRED, f"sweep perimeters 3..max-n (at most {oracle.ORACLE_MAX_N})"),
+        ("--seed", int, DEFAULT_SEED, "seed for the randomized probes"),
+        ("--probes", int, 5, "randomized canonical-form probes per perimeter"))),
+    "bench": ("time one polygon count", cmd_bench, (("--n", int, _REQUIRED, "perimeter"),)),
+}
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for a command line of one shape: a command,
+    then its options by exact name, each once, as a flag or as `--opt value`
+    with a value that passes int() or the choices and does not start with "-",
+    every required one given.  None for any other line: main hands it to
+    argparse, which decides every help text, usage error and exit code."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, options = _COMMANDS[argv[0]]
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    given = {}
+    words = iter(argv[1:])
+    for flag in words:
+        kind = kinds.get(flag)
+        if kind is None or flag in given:
+            return None
+        if kind is bool:
+            given[flag] = True
+            continue
+        value = next(words, "-")
+        if value.startswith("-") or isinstance(kind, tuple) and value not in kind:
+            return None
+        try:
+            given[flag] = int(value) if kind is int else value
+        except ValueError:
+            return None
+    values = {}
+    for flag, _, default, _ in options:
+        if default is _REQUIRED and flag not in given:
+            return None
+        values[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return SimpleNamespace(command=argv[0], handler=handler, **values)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    """The argparse parser of every command line, built from _COMMANDS."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None) -> None:
+            if file is None and sys.stdout is None:  # argparse would fall back to stderr
+                self.exit(EXIT_USAGE, "error: standard output is closed\n")
+            super().print_help(file)
+
+    parser = Parser(
         prog="perigon",
         description="Exact census of integer polygons and m-gons by perimeter.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    count = sub.add_parser("count", help="print one census value")
-    count.add_argument("--n", type=int, required=True, help="perimeter")
-    count.add_argument("--m", type=int, default=None,
-                       help="side count (omit to count polygons of any side count)")
-    count.add_argument("--cyclic", action="store_true",
-                       help="quotient by rotations only (no reversals)")
-    count.add_argument("--method", choices=("closed", "burnside", "oracle"),
-                       default="closed", help="evaluation route")
-    count.add_argument("--format", choices=("plain", "json"), default="plain")
-    count.set_defaults(handler=cmd_count)
-
-    table = sub.add_parser("table", help="emit the m-gon triangle and polygon totals")
-    table.add_argument("--max-n", type=int, required=True, help="largest perimeter")
-    table.add_argument("--format", choices=("plain", "csv"), default="plain")
-    table.set_defaults(handler=cmd_table)
-
-    bfile = sub.add_parser("bfile", help="emit a sequence in OEIS b-file format")
-    bfile.add_argument("--family", choices=FAMILIES, required=True)
-    bfile.add_argument("--m", type=int, default=None,
-                       help="side count, for the pmn families")
-    bfile.add_argument("--start", type=int, default=None,
-                       help="first n (default: the family minimum)")
-    bfile.add_argument("--end", type=int, required=True, help="last n, inclusive")
-    bfile.add_argument("--offset", type=int, default=None,
-                       help="override the printed start index")
-    bfile.add_argument("--out", type=str, default=None,
-                       help="output path (default: standard output)")
-    bfile.set_defaults(handler=cmd_bfile)
-
-    verify = sub.add_parser("verify",
-                            help="cross-check closed forms, group averages and the oracle")
-    verify.add_argument("--max-n", type=int, required=True,
-                        help=f"sweep perimeters 3..max-n (at most {oracle.ORACLE_MAX_N})")
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for the randomized probes")
-    verify.add_argument("--probes", type=int, default=5,
-                        help="randomized canonical-form probes per perimeter")
-    verify.set_defaults(handler=cmd_verify)
-
-    bench = sub.add_parser("bench", help="time one polygon count")
-    bench.add_argument("--n", type=int, required=True, help="perimeter")
-    bench.set_defaults(handler=cmd_bench)
-
+    for name, (about, handler, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=about)
+        for flag, kind, default, text in options:
+            required = default is _REQUIRED
+            kwargs = ({"action": "store_true"} if kind is bool
+                      else {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            command.add_argument(flag, required=required, default=None if required else default,
+                                 help=text, **kwargs)
+        command.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits on usage errors; surface the code
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits on usage errors; surface the code
+            return int(exc.code or 0)
     try:
         if sys.stdout is None and not getattr(args, "out", None):  # started with fd 1 closed
             raise CliError("standard output is closed")

@@ -30,6 +30,8 @@ compares the two rules.
 
 from __future__ import annotations
 
+from operator import index
+
 from .model import CircularTuple, GroupElement, GroupKind, bad_block_threshold, dihedral_group
 
 __all__ = [
@@ -201,6 +203,7 @@ def canonical_form(a: CircularTuple, group: GroupKind) -> CircularTuple:
 def orbit_count(n: int, group: GroupKind, weight: int | None = None) -> int:
     """Scan.orbit_count at perimeter n, from a scan built for this call alone
     (0 outside 3 <= m <= n, with no scan built)."""
+    n, weight = index(n), weight if weight is None else index(weight)
     if weight is not None and not 3 <= weight <= n:
         return 0
     return Scan(n).orbit_count(group, weight)

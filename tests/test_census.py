@@ -35,6 +35,33 @@ def test_every_route_is_zero_on_degenerate_m():
                 assert orbit_count(n, group, weight=m) == 0
 
 
+@pytest.mark.parametrize("count", [
+    lambda: census.count_polygons(10.0),
+    lambda: census.count_polygons_via_burnside(10.0),
+    lambda: census.count_mgons(10.0, 4),
+    lambda: census.count_mgons(10, 4.0),
+    lambda: census.count_mgons_via_burnside(10.0, 4),
+    lambda: census.count_mgons_via_burnside(10, 4.0),
+    lambda: census.triangles_nearest(10.0),
+    lambda: census.quadrilaterals_nearest(10.0),
+    lambda: orbit_count(10.0, GroupKind.DIHEDRAL),
+    lambda: orbit_count(10.0, CYCLIC, weight=4),
+    lambda: orbit_count(10, GroupKind.DIHEDRAL, weight=4.0),
+    lambda: next(census.polygon_values(10.0, 12)),
+    lambda: next(census.polygon_decimal(10.0, 12)),
+    lambda: next(census.mgon_values(4, 10.0, 12)),
+    lambda: next(census.mgon_columns(10.0)),
+], ids=["polygons", "polygons-burnside", "mgons-n", "mgons-m", "mgons-burnside-n",
+        "mgons-burnside-m", "triangles-nearest", "quadrilaterals-nearest", "oracle",
+        "oracle-cyclic-mgons", "oracle-weight", "polygon-values", "polygon-decimal",
+        "mgon-values", "mgon-columns"])
+def test_every_count_refuses_a_float(count):
+    # an integral float is not a perimeter or a side count: every route
+    # raises the TypeError of int-only arithmetic, none answers 2.0
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        count()
+
+
 def test_count_polygons_examples():
     assert census.count_polygons(3) == 1
     assert census.count_polygons(10) == 54

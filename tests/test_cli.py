@@ -836,6 +836,108 @@ def test_closed_pipe_exits_quietly():
 
 
 # ---------------------------------------------------------------------------
+# reading the command line
+
+# every command and option, each flag, some options in two orders, defaults left
+# out, and a path with spaces that must reach the command as written
+ACCEPTED = [
+    ["count", "--n", "16"],
+    ["count", "--n", "16", "--m", "9", "--cyclic", "--method", "burnside", "--format", "json"],
+    ["count", "--format", "plain", "--method", "oracle", "--cyclic", "--m", "4", "--n", "12"],
+    ["count", "--method", "closed", "--n", "16"],
+    ["table", "--max-n", "9"],
+    ["table", "--format", "csv", "--max-n", "9"],
+    ["table", "--max-n", "9", "--format", "plain"],
+    *(["bfile", "--family", family, "--end", "40"] for family in cli.FAMILIES),
+    ["bfile", "--family", "pmn", "--m", "5", "--end", "40"],
+    ["bfile", "--out", " b file.txt ", "--offset", "7", "--end", "40", "--start", "2",
+     "--family", "triangles-nearest"],
+    ["verify", "--max-n", "8"],
+    ["verify", "--probes", "2", "--seed", "3", "--max-n", "8"],
+    ["bench", "--n", "50"],
+]
+
+# the shapes the reader leaves to argparse that argparse refuses, or answers with help
+REFUSED = [
+    [], ["--help"], ["-h"], ["count", "--help"], ["count", "-h"], ["bfile", "--end", "5", "-h"],
+    ["nope", "--n", "16"], ["--n", "16"], ["count", "--n", "16", "extra"],
+    ["count", "--n", "16", "--bogus"], ["count", "--", "--n", "16"],
+    ["count", "--n", "x"], ["count", "--n", "1.5"], ["count", "--n", ""],
+    ["count", "--n", "16", "--method", "nope"], ["table", "--max-n", "9", "--format", "json"],
+    ["bfile", "--family", "nope", "--end", "5"],
+    ["count"], ["count", "--m", "9"], ["bfile", "--family", "pn"], ["count", "--n"],
+    ["count", "--n", "16", "--cyclic", "7"], ["count", "--n", "16", "--format"],
+]
+
+# shapes argparse reads that the reader leaves to it, each with the plain spelling
+# that the reader reads to the same namespace
+OTHER_SPELLINGS = [
+    (["count", "--n=16"], ["count", "--n", "16"]),
+    (["count", "--n", "16", "--m=9"], ["count", "--n", "16", "--m", "9"]),
+    (["table", "--max", "9"], ["table", "--max-n", "9"]),
+    (["count", "--n", "16", "--meth", "oracle"], ["count", "--n", "16", "--method", "oracle"]),
+    (["count", "--n", "17", "--n", "16"], ["count", "--n", "16"]),
+    (["count", "--cyclic", "--n", "16", "--cyclic"], ["count", "--n", "16", "--cyclic"]),
+]
+
+
+def test_accepted_command_lines_name_every_option():
+    for name, (_, _, options) in cli._COMMANDS.items():
+        named = {word for argv in ACCEPTED if argv[0] == name for word in argv[1:]}
+        assert {flag for flag, *_ in options} <= named, name
+
+
+@pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
+def test_read_argv_gives_argparses_namespace(argv):
+    assert vars(cli._read_argv(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=lambda argv: " ".join(argv) or "empty")
+def test_refused_command_lines_get_argparses_answer(capsys, argv):
+    assert cli._read_argv(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    expected = (exc.value.code or 0, *capsys.readouterr())
+    assert run(capsys, *argv) == expected
+    assert expected[0] == (0 if "-h" in argv or "--help" in argv else 2)
+
+
+@pytest.mark.parametrize("argv, plain", OTHER_SPELLINGS, ids=lambda argv: " ".join(argv))
+def test_other_spellings_are_read_by_argparse(capsys, argv, plain):
+    assert cli._read_argv(argv) is None
+    assert vars(cli.build_parser().parse_args(argv)) == vars(cli._read_argv(plain))
+    assert run(capsys, *argv) == run(capsys, *plain)
+
+
+def test_negative_values_reach_the_range_checks(capsys):
+    # a value that starts with "-" goes to argparse, which reads it as a
+    # number, and the command then refuses it
+    assert cli._read_argv(["count", "--n", "-5"]) is None
+    assert run(capsys, "count", "--n", "-5") == \
+        (2, "", "error: --n must be at least 3 (a polygon needs perimeter >= 3), got -5\n")
+    assert cli._read_argv(["verify", "--max-n", "6", "--probes", "-1"]) is None
+    assert run(capsys, "verify", "--max-n", "6", "--probes", "-1") == \
+        (2, "", "error: --probes must not be negative, got -1\n")
+
+
+def test_well_formed_command_line_loads_no_argparse():
+    # a fresh interpreter without site hooks: main runs a well-formed `count`
+    # with neither argparse nor gettext loaded, and through `python -m
+    # perigon` a bad choice still gets argparse's message and status
+    code = ("import sys\nfrom perigon import cli\nstatus = cli.main(sys.argv[1:])\n"
+            "print(status, *sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, "count", "--n", "16"],
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "2098\n0\n", "")
+    done = subprocess.run([sys.executable, "-S", "-m", "perigon", "count", "--n", "16",
+                           "--method", "nope"],
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage: perigon count")
+    assert "argument --method: invalid choice: 'nope'" in done.stderr
+
+
+# ---------------------------------------------------------------------------
 # start-up
 
 
@@ -843,7 +945,7 @@ def test_import_loads_no_command_only_modules():
     # a fresh interpreter without site hooks (-S), so that nothing a site
     # file preloads can hide a module the package itself pulls in at start-up
     lazy = ("dataclasses", "inspect", "typing", "fractions", "decimal", "json", "hashlib",
-            "random", "pathlib")
+            "random", "pathlib", "argparse", "gettext")
     env = child_env()
     code = f"import perigon.cli, sys; print(*sorted(set({lazy!r}) & set(sys.modules)))"
     loaded = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
