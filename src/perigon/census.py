@@ -18,7 +18,9 @@ n = start..end with the divisors of every n from one sieve, and
 `polygon_decimal` is the same run with every power of two built in exact
 decimal arithmetic, so that no term needs a base conversion to be printed:
 the polygon b-files read it, and `count` reads a run of one n when the
-count is huge.
+count is huge.  It and `decimal_text`, the decimal text of any huge int,
+are the exact-decimal layer; both take their powers of two from one
+builder, `_two_power`.
 `mgon_values` is the m-gon closed form along n for a fixed m: the `pmn`
 b-files read it, and `count_mgons` reads a run of one n.  `mgon_columns`
 is the same closed form evaluated one perimeter at a time, from Pascal's
@@ -55,6 +57,7 @@ __all__ = [
     "count_mgons_via_burnside",
     "count_polygons",
     "count_polygons_via_burnside",
+    "decimal_text",
     "mgon_columns",
     "mgon_values",
     "polygon_decimal",
@@ -121,6 +124,7 @@ def mgon_values(m: int, start: int, end: int,
     not recomputed, and so is C((n+2)//4, m/2) when it equals C(n//4, m/2)
     (even m, n = 0 or 1 mod 4).
     """
+    m = index(m)
     first = m if m >= 3 else end + 1  # the least n with an m-gon; past the run when m < 3
     for _ in range(start, min(first, end + 1)):
         yield 0
@@ -222,59 +226,90 @@ def polygon_decimal(start: int, end: int,
     an int-to-decimal conversion.
 
     A long run doubles its powers of two (see _polygon_run).  A short one,
-    such as a run of one n, asks for each 2^k on demand, and it asks in
-    ascending k within a term: 2^k is then 2^j times a small power of two
-    when some j < k close below is held, or (2^j)^2 adjusted by a small
-    power of two when some j close to k / 2 is held, else one exact power.
-    The 2^k with k <= end // 2 are held for the run; of the larger ones,
-    which only the d = 1 term 2^n reads, only the latest is held.  Each
-    term is evaluated under a context that raises on any inexact, invalid
-    or division-by-zero step; between terms the caller's context is in
-    force, unchanged.
+    such as a run of one n, asks _two_power for each 2^k, in ascending k
+    within a term.  The 2^k with k <= end // 2 are held for the run; of the
+    larger ones, which only the d = 1 term 2^n reads, only the latest is
+    held.  Each term is evaluated under a context that raises on any
+    inexact, invalid or division-by-zero step; between terms the caller's
+    context is in force, unchanged.
     """
     import contextvars
     import decimal
 
     if start < 3:
         raise ValueError(f"perimeter must be at least 3, got {start}")
-    exact = _exact_context()
     kept: dict[int, Decimal] = {}  # 2^k for k <= end // 2, and for the latest larger k
     top = None  # that larger k
 
     def power(k: int) -> Decimal:  # called under the exact context
         nonlocal top
-        p = kept.get(k)
-        if p is None:
-            p = _derived_power(kept, k) or exact.power(2, k)
-            if k > end // 2:
-                kept.pop(top, None)
-                top = k
-            kept[k] = p
+        p = _two_power(kept, k)
+        if k > end // 2 and k != top:
+            kept.pop(top, None)
+            top = k
         return p
 
     scope = contextvars.copy_context()  # the exact context, entered for each term
-    scope.run(decimal.setcontext, exact)
+    scope.run(decimal.setcontext, _exact_context())
     run = _polygon_run(start, max(end, start - 1), group, power)
     return iter(partial(scope.run, next, run, None), None)
+
+
+_LEAF_BITS = 512  # decimal_text converts an int of at most this many bits directly
+
+
+def decimal_text(v: int) -> str:
+    """str(v) for an int v >= 0 by divide and conquer, under no digit limit:
+    v = hi 2^h + lo, with hi and lo converted recursively and recombined in
+    exact decimal arithmetic, where multiplication is subquadratic (the
+    method of CPython 3.12's Lib/_pylong.py).  The caller's context stays."""
+    import decimal
+
+    kept: dict[int, Decimal] = {}  # 2^h for the widths h of this one call
+
+    def convert(v: int, w: int) -> Decimal:
+        if w <= _LEAF_BITS:
+            return decimal.Decimal(v)
+        h = w >> 1
+        hi = v >> h
+        # hi first: its smaller powers are asked for before 2^h
+        return convert(hi, w - h) * _two_power(kept, h) + convert(v - (hi << h), h)
+
+    with decimal.localcontext(_exact_context()):
+        return str(convert(v, v.bit_length()))
 
 
 _NEAR = 4  # 2^k is derived from a held 2^j when k - j, or |k - 2j|, is below this
 
 
-def _derived_power(kept: dict, k: int):
-    """2^k from a held 2^j: 2^j 2^(k-j) for 0 < k - j < _NEAR, else
-    (2^j)^2 times or divided by 2^|k - 2j| for |k - 2j| < _NEAR; None when
-    no such j is held.  Runs under the caller's (exact) decimal context."""
+def _two_power(kept: dict, k: int) -> Decimal:
+    """2^k as an exact Decimal, read from kept (k -> 2^k) when held, else
+    made and stored there.  A caller that asks in ascending k mostly finds
+    a close power held: 2^k is then 2^j 2^(k-j) for a held j with
+    0 < k - j < _NEAR, or else (2^j)^2 times or divided by 2^|k - 2j| for a
+    held j with |k - 2j| < _NEAR; else it is one exact power.  Runs under
+    the caller's exact decimal context."""
+    p = kept.get(k)
+    if p is not None:
+        return p
     for c in range(1, _NEAR):
         p = kept.get(k - c)
         if p is not None:
-            return p * (1 << c)
-    for j in range((k - _NEAR) // 2 + 1, (k + _NEAR - 1) // 2 + 1):
-        p = kept.get(j)
-        if p is not None:
-            c = k - 2 * j
-            return p * p * (1 << c) if c >= 0 else p * p // (1 << -c)
-    return None
+            p *= 1 << c
+            break
+    else:
+        for j in range((k - _NEAR) // 2 + 1, (k + _NEAR - 1) // 2 + 1):
+            p = kept.get(j)
+            if p is not None:
+                c = k - 2 * j
+                p = p * p * (1 << c) if c >= 0 else p * p // (1 << -c)
+                break
+        else:
+            from decimal import Decimal
+
+            p = Decimal(2) ** k
+    kept[k] = p
+    return p
 
 
 def _extend_totients(totients: list[int], primes: list[int], top: int) -> None:
@@ -377,6 +412,7 @@ def count_polygons_via_burnside(n: int, group: GroupKind = GroupKind.DIHEDRAL) -
 def count_mgons_via_burnside(n: int, m: int, group: GroupKind = GroupKind.DIHEDRAL) -> int:
     """m-gon count assembled from per-class fixed-set sizes over the group; 0
     outside 3 <= m <= n, else equal to count_mgons(n, m, group)."""
+    m = index(m)
     if m < 3 or m > n:
         return 0
     return _group_average(n, group, lambda cls: fix_mgons(n, m, cls))

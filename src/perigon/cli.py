@@ -101,73 +101,33 @@ def _decimal_digits(v: int) -> int:
     return k + 1 if (v >> k) >= 5**k else k  # v's top bits fall between the bounds
 
 
-# str(int) is quadratic on CPython before 3.12; above this many bits the
-# split into decimal halves below is faster (measured on 3.10, 3.11 and 3.12)
+# str(int) is quadratic on CPython before 3.12; above this many bits
+# census.decimal_text is faster (measured on 3.10, 3.11 and 3.12)
 _DECIMAL_FROM_BITS = 32_768
-_DECIMAL_LEAF_BITS = 512
-# str() accepts every int of at most this many bits under any digit limit:
-# 640, sys.int_info.str_digits_check_threshold, is the least nonzero limit
-# the interpreter takes, and 10^640 > 2^(3 * 640)
-_STR_BITS = 3 * 640
-
-
-def _decimal_text(v: int) -> str:
-    """Decimal text of v >= 0 by divide and conquer: v = hi * 2^h + lo, with
-    hi and lo converted recursively and recombined in exact decimal
-    arithmetic, where multiplication is subquadratic (the method of
-    CPython 3.12's Lib/_pylong.py)."""
-    import decimal
-
-    exact = census._exact_context()
-    powers: dict[int, decimal.Decimal] = {}  # 2^w for the widths of this one call
-
-    def power(w: int) -> decimal.Decimal:
-        if w not in powers:
-            if w <= _DECIMAL_LEAF_BITS:
-                powers[w] = decimal.Decimal(1 << w)
-            elif w - 1 in powers:
-                powers[w] = exact.add(powers[w - 1], powers[w - 1])
-            else:
-                powers[w] = exact.multiply(power(w >> 1), power(w - (w >> 1)))
-        return powers[w]
-
-    def convert(v: int, w: int) -> decimal.Decimal:
-        if w <= _DECIMAL_LEAF_BITS:
-            return decimal.Decimal(v)
-        h = w >> 1
-        hi = v >> h
-        return exact.add(exact.multiply(convert(hi, w - h), power(h)),
-                         convert(v - (hi << h), h))
-
-    return str(convert(v, v.bit_length()))
-
-
-def _decimal_path(bits: int) -> bool:
-    """Whether an int of this many bits is printed through decimal arithmetic:
-    a large one, or one that str() would refuse under the interpreter's
-    int-to-str digit limit."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    # 10^limit > 2^(3 limit), so str() accepts every int of at most 3 limit bits
-    return bits > _DECIMAL_FROM_BITS or 0 < 3 * limit < bits
 
 
 def _fmt_count(v) -> str:
     """Decimal text of a count (v >= 0): an int, or a Decimal that
-    census.polygon_decimal built exactly."""
-    if isinstance(v, int) and (bits := v.bit_length()) > _STR_BITS and _decimal_path(bits):
-        return _decimal_text(v)
-    return str(v)
+    census.polygon_decimal built exactly.  A large int, or one that str()
+    refuses under the interpreter's int-to-str digit limit, is printed by
+    census.decimal_text."""
+    if isinstance(v, int) and v.bit_length() > _DECIMAL_FROM_BITS:
+        return census.decimal_text(v)
+    try:
+        return str(v)
+    except ValueError:  # more digits than the limit allows
+        return census.decimal_text(v)
 
 
 def _evaluate_count(n: int, m: int | None, group: model.GroupKind, method: str,
                     scan: oracle.Scan | None = None):
     """The count by one route: an int, or a Decimal for a closed-form
-    polygon count when n passes _decimal_path (the count has fewer than n
-    bits, so every count that would take the decimal path does).  The
-    oracle reads a held scan of perimeter n when given one."""
+    polygon count when n > _DECIMAL_FROM_BITS (the count has fewer than n
+    bits, so every count that _fmt_count would print in decimal is built
+    there).  The oracle reads a held scan of perimeter n when given one."""
     if method == "closed":
         if m is None:
-            if _decimal_path(n):
+            if n > _DECIMAL_FROM_BITS:
                 return next(census.polygon_decimal(n, n, group))
             return census.count_polygons(n, group)
         return census.count_mgons(n, m, group)

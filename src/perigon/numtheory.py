@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
+from operator import index
 
 __all__ = ["binomial", "divisors", "totient"]
 
@@ -30,7 +31,7 @@ def divisors(n: int) -> list[int]:
 
 def totient(n: int) -> int:
     """Euler's totient: how many of 1..n are coprime to n."""
-    if n < 1:
+    if index(n) < 1:
         raise ValueError(f"totient() needs n >= 1, got {n}")
     result = n
     rest = n

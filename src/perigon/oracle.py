@@ -49,7 +49,7 @@ _LOW = 16  # a block is 2^16 tuples: masks of 8 KB
 
 
 def _check_scale(n: int) -> None:
-    if not 3 <= n <= ORACLE_MAX_N:
+    if not 3 <= index(n) <= ORACLE_MAX_N:
         raise ValueError(f"oracle handles 3 <= n <= {ORACLE_MAX_N}, got {n}")
 
 
@@ -162,7 +162,7 @@ class Scan:
         With a weight filter m this is the m-gon census (0 outside 3 <= m <= n);
         without, the polygon census.
         """
-        if weight is not None and not 3 <= weight <= self.n:
+        if weight is not None and not 3 <= index(weight) <= self.n:
             return 0
         good = self._minima[group][1]
         return sum(good) if weight is None else good[weight]

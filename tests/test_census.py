@@ -7,7 +7,7 @@ import pytest
 from perigon import census
 from perigon.model import GroupKind
 from perigon.numtheory import divisors, totient
-from perigon.oracle import orbit_count
+from perigon.oracle import Scan, orbit_count
 
 CYCLIC = GroupKind.CYCLIC
 
@@ -51,10 +51,16 @@ def test_every_route_is_zero_on_degenerate_m():
     lambda: next(census.polygon_decimal(10.0, 12)),
     lambda: next(census.mgon_values(4, 10.0, 12)),
     lambda: next(census.mgon_columns(10.0)),
+    lambda: census.count_mgons(10, 2.0),  # outside 3..n: refused, not counted 0
+    lambda: census.count_mgons_via_burnside(10, 2.0),
+    lambda: Scan(10.0),
+    lambda: Scan(10).orbit_count(GroupKind.DIHEDRAL, 4.0),
+    lambda: totient(10.0),
 ], ids=["polygons", "polygons-burnside", "mgons-n", "mgons-m", "mgons-burnside-n",
         "mgons-burnside-m", "triangles-nearest", "quadrilaterals-nearest", "oracle",
         "oracle-cyclic-mgons", "oracle-weight", "polygon-values", "polygon-decimal",
-        "mgon-values", "mgon-columns"])
+        "mgon-values", "mgon-columns", "mgons-degenerate-m", "mgons-burnside-degenerate-m",
+        "scan", "scan-weight", "totient"])
 def test_every_count_refuses_a_float(count):
     # an integral float is not a perimeter or a side count: every route
     # raises the TypeError of int-only arithmetic, none answers 2.0
@@ -264,6 +270,28 @@ def test_polygon_decimal_leaves_the_callers_context():
         assert decimal.getcontext() is caller
         assert (caller.prec, dict(caller.flags)) == (prec, flags)
     assert next(run, None) is None
+
+
+def test_two_power_equals_the_exact_power():
+    # every branch of the builder: a read, 2^(k-c) 2^c for each c, the half
+    # rule (2^j)^2 2^(k-2j) with k - 2j >= 0 and < 0, and a fresh exact power;
+    # each made power is stored, and a derived one is built from the held one
+    with decimal.localcontext(census._exact_context()):
+        exact = {k: decimal.Decimal(2) ** k for k in range(1000)}
+        held = {100: exact[100]}
+        assert census._two_power(held, 100) is exact[100]
+        cases = [(100 + c, 100) for c in range(1, census._NEAR)]  # k - c
+        cases += [(2 * 100 + c, 100) for c in range(1 - census._NEAR, census._NEAR)]  # half
+        for k, j in cases:
+            kept = {j: exact[j]}
+            assert census._two_power(kept, k) == exact[k] and kept == {j: exact[j], k: exact[k]}, k
+            off = {j: exact[j] + 1}  # a held power marked by +1 shows the derivation read it
+            assert census._two_power(off, k) != exact[k], k
+        assert census._two_power({}, 700) == exact[700]
+        assert census._two_power({1: exact[1]}, 999) == exact[999]  # nothing close is held
+        kept = {}
+        assert [census._two_power(kept, k) for k in range(1000)] == list(exact.values())
+    assert all(str(p) == str(2**k) for k, p in exact.items())
 
 
 def test_skewed_totient_fails_both_polygon_routes(monkeypatch):

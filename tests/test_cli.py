@@ -82,32 +82,30 @@ def test_count_json_report(capsys):
 
 
 def test_count_decimal_route_at_thresholds(capsys, monkeypatch, unlimited_int_str):
-    # a closed-form polygon count is built in decimal exactly when n passes
-    # _decimal_path, the bit-length test of _fmt_count: above 2^15, and above
-    # 3 x the int-to-str digit limit (4,300 by default) when one is set
+    # a closed-form polygon count is built in decimal exactly when n is above
+    # _DECIMAL_FROM_BITS, whatever the int-to-str digit limit, and prints the
+    # same bytes under every limit
     real = census.polygon_decimal
     built = []
     monkeypatch.setattr(census, "polygon_decimal",
                         lambda start, end, group: built.append((start, end))
                         or real(start, end, group))
-    cases = [(0, cli._DECIMAL_FROM_BITS + d) for d in (-1, 0, 1)]
-    if hasattr(sys, "set_int_max_str_digits"):
-        cases += [(4300, 3 * 4300 + d) for d in (-1, 0, 1)]
-    for limit, n in cases:
+    limits = [0, 640, 4300] if hasattr(sys, "set_int_max_str_digits") else [0]
+    for n in (cli._DECIMAL_FROM_BITS + d for d in (-1, 0, 1)):
         expected = str(census.count_polygons(n))
-        if limit:
-            sys.set_int_max_str_digits(limit)
-        try:
-            built.clear()
-            code, out, _ = run(capsys, "count", "--n", str(n))
-            assert code == 0 and out == expected + "\n", n
-            code, out, _ = run(capsys, "count", "--n", str(n), "--format", "json")
-            assert code == 0 and json.loads(out)["value"] == expected, n
-        finally:
+        for limit in limits:
             if limit:
-                sys.set_int_max_str_digits(0)
-        threshold = 3 * limit if limit else cli._DECIMAL_FROM_BITS
-        assert built == ([(n, n)] * 2 if n > threshold else []), (limit, n)
+                sys.set_int_max_str_digits(limit)
+            try:
+                built.clear()
+                code, out, _ = run(capsys, "count", "--n", str(n))
+                assert code == 0 and out == expected + "\n", (limit, n)
+                code, out, _ = run(capsys, "count", "--n", str(n), "--format", "json")
+                assert code == 0 and json.loads(out)["value"] == expected, (limit, n)
+            finally:
+                if limit:
+                    sys.set_int_max_str_digits(0)
+            assert built == ([(n, n)] * 2 if n > cli._DECIMAL_FROM_BITS else []), (limit, n)
 
 
 def test_count_unknown_flag(capsys):
@@ -669,39 +667,41 @@ def test_log10_2_constant_is_exact_below_2_to_64():
 
 
 def test_decimal_path_matches_str(unlimited_int_str):
-    values = [0, 1, 2**511, 2**512 - 1, 2**512, 2**513 + 1]
+    values = [0, 1]
+    for b in (census._LEAF_BITS - 1, census._LEAF_BITS, census._LEAF_BITS + 1,
+              cli._DECIMAL_FROM_BITS - 1, cli._DECIMAL_FROM_BITS, cli._DECIMAL_FROM_BITS + 1,
+              65_537, 100_000):
+        values += [2**b - 1, 2**b, 2**b + 1]
     for k in (9_860, 9_864, 9_865, 9_870, 30_000):
         values += [10**k - 1, 10**k, 10**k + 1]
-    for b in (cli._DECIMAL_FROM_BITS - 1, cli._DECIMAL_FROM_BITS, cli._DECIMAL_FROM_BITS + 1,
-              65_537, 100_000):
-        values.append(2**b - 1)
     rng = random.Random(5)
     values += [rng.getrandbits(rng.randrange(1, 100_000)) for _ in range(12)]
+    caller = decimal.getcontext()
+    prec, flags = caller.prec, dict(caller.flags)
     for v in values:
         text = str(v)
-        assert cli._decimal_text(v) == text, v.bit_length()
+        assert census.decimal_text(v) == text, v.bit_length()
         assert cli._fmt_count(v) == text, v.bit_length()
+    assert decimal.getcontext() is caller and (caller.prec, dict(caller.flags)) == (prec, flags)
 
 
-def test_small_ints_skip_the_digit_limit_lookup(monkeypatch, unlimited_int_str):
-    # an int of at most _STR_BITS bits goes straight to str(): str() accepts it
-    # under the least nonzero digit limit the interpreter takes
-    if hasattr(sys.int_info, "str_digits_check_threshold"):
-        assert cli._STR_BITS == 3 * sys.int_info.str_digits_check_threshold
-    values = [2**b - 1 for b in (1, cli._STR_BITS - 1, cli._STR_BITS, cli._STR_BITS + 1)]
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str size guard before Python 3.10.7")
+def test_fmt_count_reads_no_digit_limit(monkeypatch, unlimited_int_str):
+    # _fmt_count tries str() and falls back to census.decimal_text on the
+    # ValueError of the digit limit; it never asks for the limit itself.
+    # 640 is the least nonzero limit the interpreter takes
+    values = [2**b - 1 for b in (1, 1_920, 1_921, cli._DECIMAL_FROM_BITS)]
     texts = [str(v) for v in values]
-    looked_up = []
-    real = cli._decimal_path
-    monkeypatch.setattr(cli, "_decimal_path", lambda bits: looked_up.append(bits) or real(bits))
-    limits = [0]  # the fixture lifted the limit
-    if hasattr(sys, "set_int_max_str_digits"):
-        limits.append(640)
-    for limit in limits:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-        looked_up.clear()
-        assert [cli._fmt_count(v) for v in values] == texts, limit
-        assert looked_up == [cli._STR_BITS + 1], limit
+
+    def lookup():
+        raise AssertionError("the digit limit was read")
+
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lookup)
+    sys.set_int_max_str_digits(640)
+    with pytest.raises(ValueError):
+        str(values[-1])
+    assert [cli._fmt_count(v) for v in values] == texts
 
 
 def test_huge_count_prints_its_decimal_value(capsys, unlimited_int_str):
