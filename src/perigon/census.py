@@ -215,7 +215,7 @@ def polygon_values(start: int, end: int,
     about what trial division does.
     """
     if start < 3:
-        raise ValueError(f"perimeter must be at least 3, got {start}")
+        raise ValueError(f"perimeter must be at least 3, got {index(start)}")
     return _polygon_run(start, max(end, start - 1), group, (1).__lshift__)
 
 
@@ -225,33 +225,21 @@ def polygon_decimal(start: int, end: int,
     decimal.Decimal whose str() is the count's decimal text: no term needs
     an int-to-decimal conversion.
 
-    A long run doubles its powers of two (see _polygon_run).  A short one,
-    such as a run of one n, asks _two_power for each 2^k, in ascending k
-    within a term.  The 2^k with k <= end // 2 are held for the run; of the
-    larger ones, which only the d = 1 term 2^n reads, only the latest is
-    held.  Each term is evaluated under a context that raises on any
-    inexact, invalid or division-by-zero step; between terms the caller's
-    context is in force, unchanged.
+    Each power of two is asked of _two_power once, at the first term that
+    reads it (see _polygon_run), and every one asked for is held for the
+    run, so that a later one can be built from a close one.  Each term is
+    evaluated under a context that raises on any inexact, invalid or
+    division-by-zero step; between terms the caller's context is in force,
+    unchanged.
     """
     import contextvars
     import decimal
 
     if start < 3:
-        raise ValueError(f"perimeter must be at least 3, got {start}")
-    kept: dict[int, Decimal] = {}  # 2^k for k <= end // 2, and for the latest larger k
-    top = None  # that larger k
-
-    def power(k: int) -> Decimal:  # called under the exact context
-        nonlocal top
-        p = _two_power(kept, k)
-        if k > end // 2 and k != top:
-            kept.pop(top, None)
-            top = k
-        return p
-
+        raise ValueError(f"perimeter must be at least 3, got {index(start)}")
     scope = contextvars.copy_context()  # the exact context, entered for each term
     scope.run(decimal.setcontext, _exact_context())
-    run = _polygon_run(start, max(end, start - 1), group, power)
+    run = _polygon_run(start, max(end, start - 1), group, partial(_two_power, {}))
     return iter(partial(scope.run, next, run, None), None)
 
 
@@ -331,16 +319,19 @@ def _polygon_run(start: int, end: int, group: GroupKind, power) -> Iterator:
     """The run for n = start..end, with 2^k read from power(k): an int or an
     exact Decimal, as the caller chooses.
 
-    A long run (start <= end / 2) reads no power(k) after its first term's
-    2^(start - 1): 2^n is the previous term's doubled, and the 2^k with
-    k <= n // 2 come from a list that grows by one doubling as n reaches
-    2k; phi comes from a sieve that grows to 2n whenever n passes its end.
-    Neither is built for the whole run before its first term.  A short
-    run, such as a run of one n, reads phi from totient and every power
-    from power(k), in ascending k within a term.
-    The rotation terms of the divisors above sqrt(n), whose powers are at
-    most 2^sqrt(n), are int shifts either way; an exact Decimal sum takes
-    them in without rounding.
+    Each power of two that a term reads is held to the next term and
+    doubled there when its exponent rises: 2^n; the tails' 2^((n-3)//2) and
+    2^((n-4)//4), or 2^(n//2) for the cyclic group; and, for each divisor
+    d <= sqrt(end), phi(d) 2^(n/d), held from d's last multiple to its
+    next.  power(k) is asked only for each value's first term, so a run of
+    one n asks for the powers its term reads, in the term's order: the
+    tails, the rotation terms of the divisors d > 1 in ascending k, then
+    2^n.  The run holds about end log(end) bits of powers, and its last term
+    holds none past its use.  A long run (start <= end / 2) reads phi from a
+    sieve that grows to 2n whenever n passes its end; a short one, from
+    totient.  The rotation terms of the divisors above sqrt(n), whose powers
+    are at most 2^sqrt(n), are int shifts; an exact Decimal sum takes them
+    in without rounding.
     """
     small = [[] for _ in range(start, end + 1)]  # the divisors d <= sqrt(n) of n = end..start
     width = end - start
@@ -349,43 +340,50 @@ def _polygon_run(start: int, end: int, group: GroupKind, power) -> Iterator:
             for n in range(max(d * d, -(-start // d) * d), end + 1, d):
                 small[end - n].append(d)
     cyclic = group is GroupKind.CYCLIC
-    order, what = ((1, "cyclic rotation sum (n={})") if cyclic
-                   else (2, "polygon rotation sum (n={})"))
+    order, lag, what = ((1, 0, "cyclic rotation sum (n={})") if cyclic
+                        else (2, 3, "polygon rotation sum (n={})"))
     phi = totient
     long = 2 * start <= end
     if long:
         totients, primes = [0, 1], []  # phi(m) for m < len(totients), and the primes there
         phi = totients.__getitem__
-        twos = [power(0)]  # 2^k for k <= n // 2
-        top = power(start - 1)  # 2^(n - 1), doubled to 2^n in term n
-        power = twos.__getitem__
+    chains = [None] * (isqrt(end) + 1)  # phi(d) 2^(n/d) at the last multiple n of d
+    half = quarter = top = None  # the tails' powers and 2^n, once held
     for n in range(start, end + 1):
         below = small.pop()  # dropped once used, so that the sieve shrinks as the run goes
-        if long:
-            if n >= len(totients):
-                _extend_totients(totients, primes, min(end, 2 * n))
-            while len(twos) <= n // 2:
-                twos.append(twos[-1] + twos[-1])
-        # the powers in ascending k: the tails (at most n // 2), the rotation
-        # terms of the divisors d > 1, then 2^n
-        if cyclic:
-            tails = -1 - power(n // 2)
-        else:
-            tail = 3 * power((n - 4) // 4) if n % 4 < 2 else power((n + 2) // 4)
-            tails = power((n - 3) // 2) - tail
+        if long and n >= len(totients):
+            _extend_totients(totients, primes, min(end, 2 * n))
+        if not cyclic:
+            if n % 4 < 2:  # 2^((n-4)//4), held from the first such n (n = 3 has none)
+                if quarter is None:
+                    quarter = power((n - 4) // 4)
+                elif n % 4 == 0:
+                    quarter += quarter
+                tail = 3 * quarter
+            else:  # 2^((n+2)//4)
+                tail = power((n + 2) // 4) if quarter is None else 4 * quarter
+        if half is None:  # 2^((n-3)//2), or 2^(n//2) for the cyclic group
+            half = power((n - lag) // 2)
+        elif (n - lag) % 2 == 0:
+            half += half
+        tails = -1 - half if cyclic else half - tail
         rotations = shifts = 0  # the rotation terms of d > 1, and those of the cofactors
         for d in reversed(below):
             if d > 1:
-                rotations += phi(d) * power(n // d)
+                term = chains[d]
+                term = phi(d) * power(n // d) if term is None else term + term
+                chains[d] = term if n < end else None
+                rotations += term
             if d * d != n:
                 shifts += phi(n // d) << d
-        if long:
-            top += top
-        # phi(d) 2^(n/d) over d | n, divided exactly by the group order, then the
-        # tails; each sum replaces the one before, and a run of one n holds no
-        # 2^n of its own: at n = 10^6 this keeps the peak memory down
+        if n == end:  # nothing is held past its use: a run of one n at 10^7 peaks 1.7 MB lower
+            half = quarter = term = None
+        top = power(n) if top is None else top + top
+        # phi(d) 2^(n/d) over d | n, divided exactly by the group order, then
+        # the tails; each sum replaces the one before
         rotations += shifts
-        rotations += top if long else power(n)
+        rotations += top
+        top = top if n < end else None
         rotations = _exact_div(rotations, order * n, what, n)
         yield rotations + tails
 

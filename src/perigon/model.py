@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from enum import Enum
 from math import gcd
+from operator import index
 
 from .numtheory import divisors, totient
 
@@ -249,7 +250,7 @@ def element_classes(n: int, group: GroupKind) -> list[tuple[ElementClass, int]]:
     circle.  The sizes add up to the group order.
     """
     if n < 3:
-        raise ValueError(f"perimeter must be at least 3, got {n}")
+        raise ValueError(f"perimeter must be at least 3, got {index(n)}")
     classes = [(ElementClass(ElementKind.IDENTITY), 1)]
     classes += [(ElementClass(ElementKind.ROTATION, d), totient(d)) for d in divisors(n) if d > 1]
     if group is GroupKind.DIHEDRAL:

@@ -32,7 +32,7 @@ def divisors(n: int) -> list[int]:
 def totient(n: int) -> int:
     """Euler's totient: how many of 1..n are coprime to n."""
     if index(n) < 1:
-        raise ValueError(f"totient() needs n >= 1, got {n}")
+        raise ValueError(f"totient() needs n >= 1, got {index(n)}")
     result = n
     rest = n
     p = 2

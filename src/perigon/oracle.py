@@ -50,7 +50,7 @@ _LOW = 16  # a block is 2^16 tuples: masks of 8 KB
 
 def _check_scale(n: int) -> None:
     if not 3 <= index(n) <= ORACLE_MAX_N:
-        raise ValueError(f"oracle handles 3 <= n <= {ORACLE_MAX_N}, got {n}")
+        raise ValueError(f"oracle handles 3 <= n <= {ORACLE_MAX_N}, got {index(n)}")
 
 
 def _weights(n: int) -> list[int]:

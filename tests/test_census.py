@@ -1,6 +1,8 @@
 import decimal
+import tracemalloc
+from collections import deque
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, isqrt, lcm
 
 import pytest
 
@@ -35,37 +37,52 @@ def test_every_route_is_zero_on_degenerate_m():
                 assert orbit_count(n, group, weight=m) == 0
 
 
-@pytest.mark.parametrize("count", [
-    lambda: census.count_polygons(10.0),
-    lambda: census.count_polygons_via_burnside(10.0),
-    lambda: census.count_mgons(10.0, 4),
-    lambda: census.count_mgons(10, 4.0),
-    lambda: census.count_mgons_via_burnside(10.0, 4),
-    lambda: census.count_mgons_via_burnside(10, 4.0),
-    lambda: census.triangles_nearest(10.0),
-    lambda: census.quadrilaterals_nearest(10.0),
-    lambda: orbit_count(10.0, GroupKind.DIHEDRAL),
-    lambda: orbit_count(10.0, CYCLIC, weight=4),
-    lambda: orbit_count(10, GroupKind.DIHEDRAL, weight=4.0),
-    lambda: next(census.polygon_values(10.0, 12)),
-    lambda: next(census.polygon_decimal(10.0, 12)),
-    lambda: next(census.mgon_values(4, 10.0, 12)),
-    lambda: next(census.mgon_columns(10.0)),
-    lambda: census.count_mgons(10, 2.0),  # outside 3..n: refused, not counted 0
-    lambda: census.count_mgons_via_burnside(10, 2.0),
-    lambda: Scan(10.0),
-    lambda: Scan(10).orbit_count(GroupKind.DIHEDRAL, 4.0),
-    lambda: totient(10.0),
-], ids=["polygons", "polygons-burnside", "mgons-n", "mgons-m", "mgons-burnside-n",
-        "mgons-burnside-m", "triangles-nearest", "quadrilaterals-nearest", "oracle",
-        "oracle-cyclic-mgons", "oracle-weight", "polygon-values", "polygon-decimal",
-        "mgon-values", "mgon-columns", "mgons-degenerate-m", "mgons-burnside-degenerate-m",
-        "scan", "scan-weight", "totient"])
+# every public count, with x in one argument: a perimeter or a side count
+COUNTS = {
+    "polygons": lambda x: census.count_polygons(x),
+    "polygons-burnside": lambda x: census.count_polygons_via_burnside(x),
+    "mgons-n": lambda x: census.count_mgons(x, 4),
+    "mgons-m": lambda x: census.count_mgons(10, x),
+    "mgons-burnside-n": lambda x: census.count_mgons_via_burnside(x, 4),
+    "mgons-burnside-m": lambda x: census.count_mgons_via_burnside(10, x),
+    "triangles-nearest": lambda x: census.triangles_nearest(x),
+    "quadrilaterals-nearest": lambda x: census.quadrilaterals_nearest(x),
+    "oracle": lambda x: orbit_count(x, GroupKind.DIHEDRAL),
+    "oracle-cyclic-mgons": lambda x: orbit_count(x, CYCLIC, weight=4),
+    "oracle-weight": lambda x: orbit_count(10, GroupKind.DIHEDRAL, weight=x),
+    "polygon-values": lambda x: next(census.polygon_values(x, 12)),
+    "polygon-decimal": lambda x: next(census.polygon_decimal(x, 12)),
+    "mgon-values": lambda x: next(census.mgon_values(4, x, 12)),
+    "mgon-columns": lambda x: next(census.mgon_columns(x)),
+    # x - 8: a side count outside 3..n, refused as a float, not counted 0
+    "mgons-degenerate-m": lambda x: census.count_mgons(10, x - 8),
+    "mgons-burnside-degenerate-m": lambda x: census.count_mgons_via_burnside(10, x - 8),
+    "scan": lambda x: Scan(x),
+    "scan-weight": lambda x: Scan(10).orbit_count(GroupKind.DIHEDRAL, x),
+    "totient": lambda x: totient(x),
+}
+
+
+@pytest.mark.parametrize("count", COUNTS.values(), ids=COUNTS)
 def test_every_count_refuses_a_float(count):
     # an integral float is not a perimeter or a side count: every route
     # raises the TypeError of int-only arithmetic, none answers 2.0
     with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
-        count()
+        count(10.0)
+
+
+@pytest.mark.parametrize("count", COUNTS.values(), ids=COUNTS)
+def test_every_count_reads_a_bool_as_its_int(count):
+    # True and False are the ints 1 and 0, as to math.comb: each route gives
+    # the same value, or the same exception with the same message
+    def outcome(x):
+        try:
+            return count(x)
+        except Exception as err:  # the exception is the outcome
+            return type(err), str(err)
+
+    for flag in (True, False):
+        assert outcome(flag) == outcome(int(flag))
 
 
 def test_count_polygons_examples():
@@ -126,12 +143,6 @@ def test_polygon_values_equal_single_counts():
         run = list(census.polygon_values(3, 1000, group))
         assert run == [census.count_polygons_via_burnside(n, group) for n in range(3, 1001)]
         assert run == [census.count_polygons(n, group) for n in range(3, 1001)]
-        # runs with start <= end / 2 sieve phi and double their powers, shorter
-        # ones read totient and each power: both sides of the switch
-        for start, end in ((3, 3), (4, 4), (97, 97), (500, 500), (17, 40), (64, 100),
-                           (3, 5), (3, 6), (250, 500), (251, 500)):
-            assert list(census.polygon_values(start, end, group)) == run[start - 3:end - 2], \
-                (start, end, group)
         assert list(census.polygon_values(10, 9, group)) == []
         assert list(census.polygon_values(3, -5, group)) == []
         with pytest.raises(ValueError) as single_error:
@@ -139,6 +150,65 @@ def test_polygon_values_equal_single_counts():
         with pytest.raises(ValueError) as run_error:
             census.polygon_values(2, 10, group)
         assert str(run_error.value) == str(single_error.value)
+
+
+def test_polygon_runs_of_every_shape(unlimited_int_str):
+    # each power a term reads is held and doubled from the term that first
+    # asks for it: runs of one n; starts 3 to 8, across the n = 3 tail and
+    # the first quarter power; long runs whose divisor chains start mid-run;
+    # and short wide runs (2 start > end), in both groups and both number types
+    shapes = [(n, n) for n in (*range(3, 12), 60, 97, 500, 1000, 1024)]
+    shapes += [(s, e) for s in range(3, 9) for e in (s + 1, s + 4, 2 * s, 2 * s + 1, 60)]
+    shapes += [(3, 2000), (17, 40), (17, 60), (64, 100), (101, 1000), (250, 500),
+               (333, 1200)]  # long
+    shapes += [(31, 60), (251, 500), (601, 1200), (777, 800), (1000, 1200)]  # short and wide
+    for group in GroupKind:
+        expected = dict(enumerate(census.polygon_values(3, 2000, group), 3))
+        assert [expected[n] for n in range(3, 61)] == \
+            [census.count_polygons_via_burnside(n, group) for n in range(3, 61)]
+        for start, end in shapes:
+            terms = [expected[n] for n in range(start, end + 1)]
+            assert list(census.polygon_values(start, end, group)) == terms, (start, end, group)
+            assert [str(v) for v in census.polygon_decimal(start, end, group)] == \
+                [str(v) for v in terms], (start, end, group)
+
+
+def test_polygon_run_asks_for_each_power_once():
+    # a run of one n asks power(k) for the powers its term reads, in the
+    # term's order: the tails, the rotation terms of the divisors
+    # 1 < d <= sqrt(n) in ascending k, then 2^n; a long run asks only at
+    # each held value's first term, and doubles it after that
+    for group in GroupKind:
+        for n in (*range(3, 40), 997, 1000, 1024, 32769):
+            asks = []
+            list(census._polygon_run(n, n, group, lambda k: asks.append(k) or 1 << k))
+            tails = ([n // 2] if group is CYCLIC
+                     else [(n - 4) // 4 if n % 4 < 2 else (n + 2) // 4, (n - 3) // 2])
+            rotations = [n // d for d in reversed(divisors(n)) if 1 < d <= isqrt(n)]
+            assert asks == [*tails, *rotations, n], (n, group)
+        asks = []
+        list(census._polygon_run(3, 4000, group, lambda k: asks.append(k) or 1 << k))
+        assert len(asks) <= isqrt(4000) + 3, group  # 2^n, the tails, one per divisor d > 1
+
+
+@pytest.mark.parametrize("shape", ["long", "short"])
+@pytest.mark.parametrize("run", [census.polygon_values, census.polygon_decimal],
+                         ids=["int", "decimal"])
+def test_polygon_run_memory_grows_as_end_log_end(run, shape):
+    # the held powers add up to about end log(end) bits: doubling the end of a
+    # run from 3, or of a short run from end / 2, about doubles its peak, where
+    # holding every 2^k with k <= end / 2 made it grow 2.6-2.9 times
+    deque(run(3, 40), maxlen=0)  # first-call allocations outside the measure
+
+    def peak(end):
+        tracemalloc.start()
+        try:
+            deque(run(3 if shape == "long" else end // 2 + 1, end), maxlen=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8000) < 2.5 * peak(4000)
 
 
 def _proof_range(m):
@@ -241,15 +311,9 @@ def test_mgon_values_compute_each_binomial_once_per_term(monkeypatch):
 
 
 def test_polygon_decimal_equals_int_counts(unlimited_int_str):
-    # the int run in exact decimal, term by term: one run from 3, sub-runs, and
     # runs of one n below, at and above 2^15 bits, in every residue of n mod 4,
-    # under both groups
+    # under both groups (test_polygon_runs_of_every_shape takes longer runs)
     for group in GroupKind:
-        for start, end in ((3, 2000), (17, 40), (64, 100), (777, 800), (3, 5), (3, 6),
-                           (250, 500), (251, 500)):
-            assert ([str(v) for v in census.polygon_decimal(start, end, group)]
-                    == [str(v) for v in census.polygon_values(start, end, group)]), \
-                (start, end, group)
         for n in (*range(3, 60), *range(2**15 - 1, 2**15 + 4), *range(10**5, 10**5 + 4)):
             assert ([str(v) for v in census.polygon_decimal(n, n, group)]
                     == [str(census.count_polygons(n, group))]), (n, group)

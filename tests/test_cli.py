@@ -1,5 +1,6 @@
 import decimal
 import hashlib
+import io
 import json
 import os
 import random
@@ -7,6 +8,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -193,6 +195,30 @@ def test_table_checks_row_sums(capsys, monkeypatch):
         v + (n == 9) for n, v in enumerate(polygons(start, end), start)))
     with pytest.raises(census.InternalError, match="perimeter 9"):
         cli.main(["table", "--max-n", "12", "--format", "csv"])
+
+
+def test_table_holds_ints_not_text(monkeypatch):
+    # the table holds the census ints and converts each row as it prints: its
+    # Python allocations peak below twice its text (the cells held as text
+    # took 2.6 times it), with standard output sent to a counting writer
+    class Counter(io.TextIOBase):
+        written = 0
+
+        def write(self, text):
+            self.written += len(text)
+            return len(text)
+
+    out = Counter()
+    monkeypatch.setattr(sys, "stdout", out)
+    cli.main(["table", "--max-n", "20", "--format", "csv"])  # first-call allocations
+    out.written = 0
+    tracemalloc.start()
+    try:
+        assert cli.main(["table", "--max-n", "300", "--format", "csv"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.written > 1.9e6 and peak < 2 * out.written, (peak, out.written)
 
 
 # ---------------------------------------------------------------------------
@@ -951,6 +977,13 @@ def test_import_loads_no_command_only_modules():
     loaded = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                             capture_output=True, text=True, timeout=60).stdout.split()
     assert loaded == []
+    # bench takes its SHA-256 from the interpreter's own module, which
+    # hashlib falls back to: hashlib would load OpenSSL (about 3.6 MB)
+    code = ("import sys\nfrom perigon import cli\nstatus = cli.main(['bench', '--n', '100'])\n"
+            "print(status, *sorted({'hashlib', '_hashlib'} & set(sys.modules)), file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.startswith("n 100\n") and done.stderr == "0\n"
 
 
 # ---------------------------------------------------------------------------
