@@ -27,7 +27,7 @@ from .model import (
     cyclic_group,
     dihedral_group,
 )
-from .numtheory import binomial, divisors, totient
+from .numtheory import binomial, divisor_totients
 from .oracle import ORACLE_MAX_N, canonical_form, orbit_count
 
 __version__ = "0.1.0"

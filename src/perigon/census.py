@@ -8,13 +8,13 @@ regression-tested against — a transcription slip in any mod-4 branch
 shows up as a mismatch.
 
 The polygon and m-gon closed forms are evaluated as runs over a range of
-n, and each single count reads a run of one n.  The m-gon rotation sums
-are those of `mgon_values` and `mgon_columns`; the assembly route sums the
-rotation classes' `fixcount` values itself on purpose, which keeps the
-two routes independent.
+n, and each single count reads a run of one n.  Every rotation sum, and
+the assembly route's class list, reads its pairs (d, phi(d)) from one
+factorisation, `numtheory.divisor_totients`, save a long polygon run,
+which sieves them.  The assembly route sums the rotation classes'
+`fixcount` values itself on purpose, which keeps the two routes independent.
 `polygon_values` is the one evaluation of the polygon closed form, over
-n = start..end with the divisors of every n from one sieve, and
-`count_polygons` reads a run of one n.
+n = start..end with the divisors of every n from one sieve.
 `polygon_decimal` is the same run with every power of two built in exact
 decimal arithmetic, so that no term needs a base conversion to be printed:
 the polygon b-files read it, and `count` reads a run of one n when the
@@ -42,7 +42,7 @@ from operator import add, index
 
 from .fixcount import fix_mgons, fix_polygons
 from .model import GroupKind, element_classes
-from .numtheory import _nearest_quotient, binomial, divisors, totient
+from .numtheory import _nearest_quotient, binomial, divisor_totients
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
 if TYPE_CHECKING:
@@ -116,9 +116,9 @@ def mgon_values(m: int, start: int, end: int,
     end < start.
 
     The m-gon closed form along n for a fixed m.  The rotations sum
-    phi(d) C(n/d, m/d) over the divisors d of gcd(n, m): the divisors of m
-    and their phi are taken once per run, and each term tests n % d; a run
-    of one n takes the divisors of gcd(n, m), all of which pass.  Each
+    phi(d) C(n/d, m/d) over the divisors d of gcd(n, m): the pairs
+    (d, phi(d)) of m are read once per run, and each term tests n % d; a run
+    of one n reads those of gcd(n, m), all of which pass.  Each
     distinct binomial is computed once per term: the rotation term that
     equals the first reflection binomial (d = 2 for even n and m) is read,
     not recomputed, and so is C((n+2)//4, m/2) when it equals C(n//4, m/2)
@@ -130,7 +130,7 @@ def mgon_values(m: int, start: int, end: int,
         yield 0
     if first > end:
         return
-    rotations = [(d, totient(d), m // d) for d in divisors(m if end > start else gcd(start, m))]
+    rotations = [(d, phi, m // d) for d, phi in divisor_totients(m if end > start else gcd(start, m))]
     k = m // 2
     cyclic = group is GroupKind.CYCLIC
     what = "cyclic fix sum ({},{})" if cyclic else "m-gon census numerator ({},{})"
@@ -160,13 +160,12 @@ def mgon_columns(max_n: int) -> Iterator[tuple[int, list[int]]]:
     divisors d > 1 of n (the rotations) and rows n//2, (n-1)//2, n//4 and
     (n+2)//4 (the reflections), so only the rows up to max_n // 2 are kept;
     row n is built from row n - 1 and dropped after its column.  The
-    rotation sum is accumulated once per divisor d of n, adding
+    rotation sum is accumulated once per pair (d, phi(d)) of n, adding
     phi(d) C(n/d, j) to the entry at m = d j, in place of a walk over the
     divisors of gcd(n, m) in every cell.
     """
     kept = [[1]]  # Pascal rows 0..max_n // 2
-    row, totients = [1], [0, 1]
-    _extend_totients(totients, [], max_n)
+    row = [1]
     for n in range(1, max_n + 1):
         row = [1, *map(add, row, row[1:]), 1]
         if n <= max_n // 2:
@@ -174,8 +173,7 @@ def mgon_columns(max_n: int) -> Iterator[tuple[int, list[int]]]:
         if n < 3:
             continue
         rotations = row[:]  # the identity's term, C(n, m)
-        for d in divisors(n)[1:]:
-            phi = totients[d]
+        for d, phi in divisor_totients(n)[1:]:
             rotations[d::d] = [s + phi * c for s, c in zip(rotations[d::d], kept[n // d][1:])]
         # the reflection rows, zero-padded so that out-of-range k reads C(x, k) = 0
         half, half_odd, quarter, quarter_even = (
@@ -329,9 +327,9 @@ def _polygon_run(start: int, end: int, group: GroupKind, power) -> Iterator:
     2^n.  The run holds about end log(end) bits of powers, and its last term
     holds none past its use.  A long run (start <= end / 2) reads phi from a
     sieve that grows to 2n whenever n passes its end; a short one, from
-    totient.  The rotation terms of the divisors above sqrt(n), whose powers
-    are at most 2^sqrt(n), are int shifts; an exact Decimal sum takes them
-    in without rounding.
+    divisor_totients(n).  The rotation terms of the divisors above sqrt(n),
+    whose powers are at most 2^sqrt(n), are int shifts; an exact Decimal
+    sum takes them in without rounding.
     """
     small = [[] for _ in range(start, end + 1)]  # the divisors d <= sqrt(n) of n = end..start
     width = end - start
@@ -342,16 +340,15 @@ def _polygon_run(start: int, end: int, group: GroupKind, power) -> Iterator:
     cyclic = group is GroupKind.CYCLIC
     order, lag, what = ((1, 0, "cyclic rotation sum (n={})") if cyclic
                         else (2, 3, "polygon rotation sum (n={})"))
-    phi = totient
-    long = 2 * start <= end
-    if long:
-        totients, primes = [0, 1], []  # phi(m) for m < len(totients), and the primes there
-        phi = totients.__getitem__
+    totients, primes = [0, 1], []  # phi(m) for m < len(totients), and the primes there
+    phi = totients.__getitem__  # a long run's; a short run reads each n's own
     chains = [None] * (isqrt(end) + 1)  # phi(d) 2^(n/d) at the last multiple n of d
     half = quarter = top = None  # the tails' powers and 2^n, once held
     for n in range(start, end + 1):
         below = small.pop()  # dropped once used, so that the sieve shrinks as the run goes
-        if long and n >= len(totients):
+        if 2 * start > end:  # a short run
+            phi = dict(divisor_totients(n)).__getitem__
+        elif n >= len(totients):
             _extend_totients(totients, primes, min(end, 2 * n))
         if not cyclic:
             if n % 4 < 2:  # 2^((n-4)//4), held from the first such n (n = 3 has none)

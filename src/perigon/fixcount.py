@@ -12,6 +12,8 @@ where m/2 appears) contribute zero.
 
 from __future__ import annotations
 
+from operator import index
+
 from .model import ElementClass, ElementKind
 from .numtheory import binomial
 
@@ -21,8 +23,8 @@ __all__ = ["fix_mgons", "fix_polygons"]
 def _check_class(n: int, cls: ElementClass) -> None:
     """Reject a class that no symmetry of the n-point circle is in: a rotation
     whose order does not divide n, or a reflection of the other parity."""
-    if type(n) is not int or n < 3:  # a float n would give float counts
-        raise ValueError(f"perimeter must be an int of at least 3, got {n!r}")
+    if index(n) < 3:  # index refuses a float n, which would give float counts
+        raise ValueError(f"perimeter must be an int of at least 3, got {index(n)}")
     if cls.order is not None:  # the rotation classes, and only they, carry an order
         fits = n % cls.order == 0
     else:
@@ -66,8 +68,8 @@ def fix_polygons(n: int, cls: ElementClass) -> int:
 def fix_mgons(n: int, m: int, cls: ElementClass) -> int:
     """Number of weight-m good n-tuples fixed by any element of the class."""
     _check_class(n, cls)
-    if not 3 <= m <= n:
-        raise ValueError(f"corner count must satisfy 3 <= m <= n, got m={m}, n={n}")
+    if not 3 <= index(m) <= n:
+        raise ValueError(f"corner count must satisfy 3 <= m <= n, got m={index(m)}, n={n}")
     kind = cls.kind
     half_m = m // 2
 

@@ -18,7 +18,7 @@ from enum import Enum
 from math import gcd
 from operator import index
 
-from .numtheory import divisors, totient
+from .numtheory import divisor_totients
 
 __all__ = [
     "CircularTuple",
@@ -252,7 +252,7 @@ def element_classes(n: int, group: GroupKind) -> list[tuple[ElementClass, int]]:
     if n < 3:
         raise ValueError(f"perimeter must be at least 3, got {index(n)}")
     classes = [(ElementClass(ElementKind.IDENTITY), 1)]
-    classes += [(ElementClass(ElementKind.ROTATION, d), totient(d)) for d in divisors(n) if d > 1]
+    classes += [(ElementClass(ElementKind.ROTATION, d), phi) for d, phi in divisor_totients(n)[1:]]
     if group is GroupKind.DIHEDRAL:
         if n % 2 == 1:
             classes.append((ElementClass(ElementKind.REFLECTION_ODD), n))

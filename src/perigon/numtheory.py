@@ -1,4 +1,5 @@
-"""Exact integer primitives shared by the counting formulas.
+"""Exact integer primitives shared by the counting formulas: the pairs
+(d, phi(d)) of every rotation sum, binomials, and nearest quotients.
 
 Counts are plain Python ints (arbitrary precision, never overflow), and a
 quotient is rounded to the nearest integer in integer arithmetic; nothing
@@ -11,40 +12,30 @@ import math
 from itertools import compress
 from operator import index
 
-__all__ = ["binomial", "divisors", "totient"]
+__all__ = ["binomial", "divisor_totients"]
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending.  Trial division up to sqrt(n)."""
+def divisor_totients(n: int) -> list[tuple[int, int]]:
+    """Each divisor d of n with Euler's phi(d), ascending in d.  n is factorised
+    once by trial division, and each prime power p^e of n adds, for every pair
+    (d, f) found so far, the pairs (d p^i, f (p - 1) p^(i-1)) for i = 1..e."""
+    n = index(n)
     if n < 1:
-        raise ValueError(f"divisors() needs n >= 1, got {n}")
-    small = []
-    large = []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-    large.reverse()
-    return small + large
-
-
-def totient(n: int) -> int:
-    """Euler's totient: how many of 1..n are coprime to n."""
-    if index(n) < 1:
-        raise ValueError(f"totient() needs n >= 1, got {index(n)}")
-    result = n
-    rest = n
+        raise ValueError(f"divisor_totients() needs n >= 1, got {n}")
+    pairs = [(1, 1)]
     p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            result -= result // p
+    while n > 1:  # n is divided by each prime it holds, down to 1
+        if p * p > n:
+            p = n  # no prime up to its square root divides what is left: it is prime
+        if n % p == 0:
+            layer, step = pairs, p - 1  # phi(d p) = phi(d) (p - 1) for d prime to p
+            while n % p == 0:
+                n //= p
+                layer = [(d * p, f * step) for d, f in layer]
+                pairs += layer
+                step = p  # and phi(d p) = phi(d) p when p divides d
         p += 1 if p == 2 else 2
-    if rest > 1:
-        result -= result // rest
-    return result
+    return sorted(pairs)
 
 
 # math.comb is quadratic in the size of its result, while the prime product

@@ -2,16 +2,18 @@ import decimal
 import tracemalloc
 from collections import deque
 from fractions import Fraction
-from math import factorial, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 
 import pytest
 
-from perigon import census
-from perigon.model import GroupKind
-from perigon.numtheory import divisors, totient
+from perigon import census, cli
+from perigon.fixcount import fix_mgons, fix_polygons
+from perigon.model import ElementClass, ElementKind, GroupKind
+from perigon.numtheory import divisor_totients
 from perigon.oracle import Scan, orbit_count
 
 CYCLIC = GroupKind.CYCLIC
+IDENTITY = ElementClass(ElementKind.IDENTITY)
 
 
 def test_count_mgons_examples():
@@ -59,7 +61,10 @@ COUNTS = {
     "mgons-burnside-degenerate-m": lambda x: census.count_mgons_via_burnside(10, x - 8),
     "scan": lambda x: Scan(x),
     "scan-weight": lambda x: Scan(10).orbit_count(GroupKind.DIHEDRAL, x),
-    "totient": lambda x: totient(x),
+    "fix-polygons": lambda x: fix_polygons(x, IDENTITY),
+    "fix-mgons-n": lambda x: fix_mgons(x, 3, IDENTITY),
+    "fix-mgons-m": lambda x: fix_mgons(10, x, IDENTITY),
+    "divisor-totients": lambda x: divisor_totients(x),
 }
 
 
@@ -74,12 +79,14 @@ def test_every_count_refuses_a_float(count):
 @pytest.mark.parametrize("count", COUNTS.values(), ids=COUNTS)
 def test_every_count_reads_a_bool_as_its_int(count):
     # True and False are the ints 1 and 0, as to math.comb: each route gives
-    # the same value, or the same exception with the same message
+    # the same value of the same type (True == 1, so the value alone would
+    # pass a bool through), or the same exception with the same message
     def outcome(x):
         try:
-            return count(x)
+            value = count(x)
         except Exception as err:  # the exception is the outcome
             return type(err), str(err)
+        return type(value), value
 
     for flag in (True, False):
         assert outcome(flag) == outcome(int(flag))
@@ -121,11 +128,8 @@ def test_closed_forms_equal_burnside_assembly():
             for m in range(3, n + 1):
                 assert census.count_mgons(n, m, group) == \
                     census.count_mgons_via_burnside(n, m, group)
-    # the per-perimeter evaluation, cell by cell, over every n mod 4 and both parities
-    # of m; it reads phi from one sieve, never from totient
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(census, "totient", None)  # a call would fail
-        columns = dict(census.mgon_columns(200))
+    # the per-perimeter evaluation, cell by cell, over every n mod 4 and both parities of m
+    columns = dict(census.mgon_columns(200))
     assert list(columns) == list(range(3, 201))
     for n, column in columns.items():
         assert column == [census.count_mgons(n, m) for m in range(3, n + 1)] == \
@@ -184,7 +188,7 @@ def test_polygon_run_asks_for_each_power_once():
             list(census._polygon_run(n, n, group, lambda k: asks.append(k) or 1 << k))
             tails = ([n // 2] if group is CYCLIC
                      else [(n - 4) // 4 if n % 4 < 2 else (n + 2) // 4, (n - 3) // 2])
-            rotations = [n // d for d in reversed(divisors(n)) if 1 < d <= isqrt(n)]
+            rotations = [n // d for d in range(isqrt(n), 1, -1) if n % d == 0]
             assert asks == [*tails, *rotations, n], (n, group)
         asks = []
         list(census._polygon_run(3, 4000, group, lambda k: asks.append(k) or 1 << k))
@@ -358,11 +362,12 @@ def test_two_power_equals_the_exact_power():
     assert all(str(p) == str(2**k) for k, p in exact.items())
 
 
-def test_skewed_totient_fails_both_polygon_routes(monkeypatch):
+def test_skewed_totient_fails_every_closed_form(monkeypatch):
     # phi(2) = 2 adds 2^(n/2) to the rotation sum of an even n, which the
     # group order does not divide: both number types must stop, not round
-    real = census.totient
-    monkeypatch.setattr(census, "totient", lambda d: real(d) + (d == 2))
+    real = census.divisor_totients
+    monkeypatch.setattr(census, "divisor_totients",
+                        lambda n: [(d, phi + (d == 2)) for d, phi in real(n)])
     for n in (20, 40_000):
         with pytest.raises(census.InternalError, match=rf"polygon rotation sum \(n={n}\) \(\d+ bits\)"):
             census.count_polygons(n)
@@ -375,6 +380,13 @@ def test_skewed_totient_fails_both_polygon_routes(monkeypatch):
     assert next(run) == census.count_polygons(17)
     with pytest.raises(census.InternalError, match=r"\(n=18\)"):
         next(run)
+    # phi(2) C(n/2, m/2) too, for even n and m, in both groups and in the table
+    for group in GroupKind:
+        for n, m in ((20, 4), (40_000, 20_000)):
+            with pytest.raises(census.InternalError, match=rf"\({m},{n}\) \(\d+ bits\)"):
+                census.count_mgons(n, m, group)
+    with pytest.raises(census.InternalError, match=r"^m-gon census numerator \(4,4\) "):
+        cli._table(20)
 
 
 def test_exact_div_reports_the_size_not_the_value():
@@ -393,8 +405,8 @@ def test_unsimplified_average_matches_closed_form():
     # the raw group average before the half-integer tails cancel; evaluating
     # it with exact rationals must land on the simplified closed form
     for n in range(3, 201):
-        total = sum(Fraction(totient(d) * (2**(n // d) - 1), 2 * n)
-                    for d in divisors(n))
+        # the rotation by q has gcd(n, q) cycles, each all corners or none
+        total = sum(Fraction(2**gcd(n, q) - 1, 2 * n) for q in range(n))
         total -= 2**(n // 2 - 1)
         r = n % 4
         if r == 0:

@@ -32,8 +32,6 @@ def test_rejects_inconsistent_class():
         fix_polygons(12, ElementClass(ElementKind.ROTATION, 5))
     with pytest.raises(ValueError):
         fix_polygons(2, ElementClass(ElementKind.IDENTITY))
-    with pytest.raises(ValueError):  # a float perimeter would give a float count
-        fix_polygons(6.0, ElementClass(ElementKind.IDENTITY))
     with pytest.raises(ValueError):  # a float order is refused when the class is built
         fix_polygons(6, ElementClass(ElementKind.ROTATION, 2.0))
 

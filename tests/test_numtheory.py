@@ -5,53 +5,47 @@ from fractions import Fraction
 import pytest
 
 from perigon import numtheory
-from perigon.numtheory import (
-    binomial,
-    divisors,
-    totient,
-)
+from perigon.numtheory import binomial, divisor_totients
+
+
+def brute_totient(d):
+    return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
 
 
 def test_divisors_examples():
-    assert divisors(1) == [1]
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(17) == [1, 17]
+    assert divisor_totients(1) == [(1, 1)]
+    assert divisor_totients(12) == [(1, 1), (2, 1), (3, 2), (4, 2), (6, 2), (12, 4)]
+    assert divisor_totients(17) == [(1, 1), (17, 16)]
 
 
 def test_divisors_rejects_zero():
-    with pytest.raises(ValueError):
-        divisors(0)
+    for n in (0, -12):
+        with pytest.raises(ValueError, match=rf"^divisor_totients\(\) needs n >= 1, got {n}$"):
+            divisor_totients(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 28, 97, 360, 1024, 99991])
 def test_divisors_ascending_and_closed_under_complement(n):
-    ds = divisors(n)
-    assert ds == sorted(ds)
-    assert len(set(ds)) == len(ds)
-    assert all(n % d == 0 for d in ds)
+    ds = [d for d, _ in divisor_totients(n)]
+    assert ds == [d for d in range(1, n + 1) if n % d == 0]
     assert sorted(n // d for d in ds) == ds
 
 
 def test_totient_examples():
-    assert totient(1) == 1
     # brute-force oracle for the quoted value
-    assert totient(12) == sum(1 for d in range(1, 13) if math.gcd(d, 12) == 1) == 4
-
-
-def test_totient_rejects_zero():
-    with pytest.raises(ValueError):
-        totient(0)
+    assert divisor_totients(12)[-1] == (12, brute_totient(12)) == (12, 4)
 
 
 def test_totient_matches_brute_force():
     for n in range(1, 400):
-        assert totient(n) == sum(1 for d in range(1, n + 1) if math.gcd(d, n) == 1)
+        for d, phi in divisor_totients(n):
+            assert phi == brute_totient(d), (n, d)
 
 
 def test_totient_divisor_sum_identity():
-    # sum of totient(d) over the divisors of n recovers n
-    for n in range(1, 10_001):
-        assert sum(totient(d) for d in divisors(n)) == n
+    # the sum of phi(d) over the divisors d of n recovers n
+    for n in (*range(1, 10_001), 720_720, 2**40, 3**25, 65521 * 65519, 99991**2):
+        assert sum(phi for _, phi in divisor_totients(n)) == n
 
 
 def test_binomial_examples():
