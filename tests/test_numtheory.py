@@ -36,6 +36,13 @@ def test_totient_examples():
     assert divisor_totients(12)[-1] == (12, brute_totient(12)) == (12, 4)
 
 
+def test_totient_rejects_zero():
+    # phi is defined on n >= 1 only; a zero read from a bool is refused the same way
+    for n in (0, False):
+        with pytest.raises(ValueError, match=r"^divisor_totients\(\) needs n >= 1, got 0$"):
+            divisor_totients(n)
+
+
 def test_totient_matches_brute_force():
     for n in range(1, 400):
         for d, phi in divisor_totients(n):
