@@ -10,24 +10,27 @@ shows up as a mismatch.
 The polygon and m-gon closed forms are evaluated as runs over a range of
 n, and each single count reads a run of one n.  Every rotation sum, and
 the assembly route's class list, reads its pairs (d, phi(d)) from one
-factorisation, `numtheory.divisor_totients`, save a long polygon run,
-which sieves them.  The assembly route sums the rotation classes'
-`fixcount` values itself on purpose, which keeps the two routes independent.
+factorisation, `numtheory.divisor_totients`, save a polygon run wide
+enough to sieve them more cheaply.  The assembly route sums the rotation
+classes' `fixcount` values itself on purpose, which keeps the two routes
+independent.
 `polygon_values` is the one evaluation of the polygon closed form, over
 n = start..end with the divisors of every n from one sieve.
 `polygon_decimal` is the same run with every power of two built in exact
-decimal arithmetic, so that no term needs a base conversion to be printed:
-the polygon b-files read it, and `count` reads a run of one n when the
-count is huge.  It and `decimal_text`, the decimal text of any huge int,
-are the exact-decimal layer; both take their powers of two from one
-builder, `_two_power`.
+decimal arithmetic, so that no term needs a base conversion to be
+printed: the polygon b-files read it, and `count` reads a run of one n
+when the count is huge.  It, `count_mgons_decimal` and `decimal_text`,
+the decimal text of any huge int, are the exact-decimal layer; they take
+their powers of two from one builder, `_two_power`, and ints from one
+converter, `_to_decimal`.
 `mgon_values` is the m-gon closed form along n for a fixed m: the `pmn`
-b-files read it, and `count_mgons` reads a run of one n.  `mgon_columns`
-is the same closed form evaluated one perimeter at a time, from Pascal's
-triangle, with its own rotation accumulation, for `table`, which needs
-every cell; one cell may be far too large for Pascal rows.  The tests tie
-each run to the assembly route.  Every route's m-gon count is 0 outside
-3 <= m <= n.
+b-files read it, `count_mgons` reads a run of one n, and
+`count_mgons_decimal` the same run with its binomials in exact decimal.
+`mgon_columns` is the same closed form evaluated one perimeter at a
+time, from Pascal's triangle, with its own rotation accumulation, for
+`table`, which needs every cell; one cell may be far too large for
+Pascal rows.  The tests tie each run to the assembly route.  Every
+route's m-gon count is 0 outside 3 <= m <= n.
 
 Every count takes the group whose orbits it counts: the dihedral group by
 default, identifying side orderings up to rotation and reversal, or the
@@ -42,7 +45,8 @@ from operator import add, index
 
 from .fixcount import fix_mgons, fix_polygons
 from .model import GroupKind, element_classes
-from .numtheory import _nearest_quotient, binomial, divisor_totients
+from .numtheory import (_factorises, _nearest_quotient, _prime_product_binomial, binomial,
+                        divisor_totients)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
 if TYPE_CHECKING:
@@ -54,6 +58,7 @@ __all__ = [
     "InternalError",
     "asymptotic_mgon_coefficient",
     "count_mgons",
+    "count_mgons_decimal",
     "count_mgons_via_burnside",
     "count_polygons",
     "count_polygons_via_burnside",
@@ -109,11 +114,23 @@ def count_mgons(n: int, m: int, group: GroupKind = GroupKind.DIHEDRAL) -> int:
     return next(mgon_values(m, n, n, group))
 
 
+def count_mgons_decimal(n: int, m: int, group: GroupKind = GroupKind.DIHEDRAL) -> Decimal:
+    """count_mgons(n, m, group) as an exact decimal.Decimal whose str() is the
+    count's decimal text: mgon_values with _decimal_binomial, under a context
+    that raises on any inexact, invalid or division-by-zero step.  The
+    caller's context stays."""
+    import decimal
+
+    with decimal.localcontext(_exact_context()):
+        return next(mgon_values(m, n, n, group, _decimal_binomial))
+
+
 def mgon_values(m: int, start: int, end: int,
-                group: GroupKind = GroupKind.DIHEDRAL) -> Iterator[int]:
+                group: GroupKind = GroupKind.DIHEDRAL, binom=None) -> Iterator[int]:
     """Yield count_mgons(n, m, group) for n = start..end: 0 below
     n = max(m, 3) and for every n when m < 3; the run is empty when
-    end < start.
+    end < start.  Each C(x, k) is binom(x, k), numtheory.binomial unless
+    the caller passes another.
 
     The m-gon closed form along n for a fixed m.  The rotations sum
     phi(d) C(n/d, m/d) over the divisors d of gcd(n, m): the pairs
@@ -125,6 +142,7 @@ def mgon_values(m: int, start: int, end: int,
     (even m, n = 0 or 1 mod 4).
     """
     m = index(m)
+    binom = binomial if binom is None else binom
     first = m if m >= 3 else end + 1  # the least n with an m-gon; past the run when m < 3
     for _ in range(start, min(first, end + 1)):
         yield 0
@@ -136,18 +154,18 @@ def mgon_values(m: int, start: int, end: int,
     what = "cyclic fix sum ({},{})" if cyclic else "m-gon census numerator ({},{})"
     for n in range(max(start, first), end + 1):
         x = -1 if cyclic else k + (n - m) // 2
-        mirror = 0 if cyclic else binomial(x, k)  # the first reflection binomial
+        mirror = 0 if cyclic else binom(x, k)  # the first reflection binomial
         total = 0
         for d, phi, j in rotations:
             if n % d == 0:
-                total += phi * (mirror if n // d == x and j == k else binomial(n // d, j))
-        half = binomial(n // 2, m - 1)
+                total += phi * (mirror if n // d == x and j == k else binom(n // d, j))
+        half = binom(n // 2, m - 1)
         if cyclic:
             yield _exact_div(total, n, what, m, n) - half
             continue
-        quarter = binomial(n // 4, k)
+        quarter = binom(n // 4, k)
         if m % 2 == 0:
-            quarter += quarter if n % 4 < 2 else binomial((n + 2) // 4, k)
+            quarter += quarter if n % 4 < 2 else binom((n + 2) // 4, k)
         yield _exact_div(total + n * (mirror - half - quarter), 2 * n, what, m, n)
 
 
@@ -241,28 +259,46 @@ def polygon_decimal(start: int, end: int,
     return iter(partial(scope.run, next, run, None), None)
 
 
-_LEAF_BITS = 512  # decimal_text converts an int of at most this many bits directly
+def _decimal_binomial(x: int, k: int) -> Decimal:
+    """binomial(x, k) as an exact Decimal, under the caller's exact context:
+    the product tree with Decimal leaves, or math.comb's int converted."""
+    from decimal import Decimal
+
+    if _factorises(x, k):
+        return _prime_product_binomial(x, min(k, x - k), Decimal)
+    return _to_decimal(binomial(x, k))
 
 
 def decimal_text(v: int) -> str:
-    """str(v) for an int v >= 0 by divide and conquer, under no digit limit:
-    v = hi 2^h + lo, with hi and lo converted recursively and recombined in
-    exact decimal arithmetic, where multiplication is subquadratic (the
-    method of CPython 3.12's Lib/_pylong.py).  The caller's context stays."""
+    """str(v) for an int v >= 0, under no digit limit: _to_decimal's exact
+    Decimal, printed.  The caller's context stays."""
     import decimal
+
+    with decimal.localcontext(_exact_context()):
+        return str(_to_decimal(v))
+
+
+_LEAF_BITS = 512  # _to_decimal converts an int of at most this many bits directly
+
+
+def _to_decimal(v: int) -> Decimal:
+    """v, an int >= 0, as an exact Decimal by divide and conquer: v = hi 2^h
+    + lo, with hi and lo converted recursively and recombined in exact
+    decimal arithmetic, where multiplication is subquadratic (the method of
+    CPython 3.12's Lib/_pylong.py).  Runs under the caller's exact context."""
+    from decimal import Decimal
 
     kept: dict[int, Decimal] = {}  # 2^h for the widths h of this one call
 
     def convert(v: int, w: int) -> Decimal:
         if w <= _LEAF_BITS:
-            return decimal.Decimal(v)
+            return Decimal(v)
         h = w >> 1
         hi = v >> h
         # hi first: its smaller powers are asked for before 2^h
         return convert(hi, w - h) * _two_power(kept, h) + convert(v - (hi << h), h)
 
-    with decimal.localcontext(_exact_context()):
-        return str(convert(v, v.bit_length()))
+    return convert(v, v.bit_length())
 
 
 _NEAR = 4  # 2^k is derived from a held 2^j when k - j, or |k - 2j|, is below this
@@ -313,6 +349,13 @@ def _extend_totients(totients: list[int], primes: list[int], top: int) -> None:
             totients[p::p] = [v - v // p for v in totients[p::p]]
 
 
+# a polygon run sieves phi when end - start is at least end / _SIEVE_SHARE:
+# the sieve costs about 0.2 us per number up to end, and saves a term 4-7 us
+# against divisor_totients(n).  From end = 10^3 to 10^5 (CPython 3.11,
+# 2 vCPUs) the two cost the same at end - start = end / 25 to end / 20
+_SIEVE_SHARE = 20
+
+
 def _polygon_run(start: int, end: int, group: GroupKind, power) -> Iterator:
     """The run for n = start..end, with 2^k read from power(k): an int or an
     exact Decimal, as the caller chooses.
@@ -325,11 +368,12 @@ def _polygon_run(start: int, end: int, group: GroupKind, power) -> Iterator:
     one n asks for the powers its term reads, in the term's order: the
     tails, the rotation terms of the divisors d > 1 in ascending k, then
     2^n.  The run holds about end log(end) bits of powers, and its last term
-    holds none past its use.  A long run (start <= end / 2) reads phi from a
-    sieve that grows to 2n whenever n passes its end; a short one, from
-    divisor_totients(n).  The rotation terms of the divisors above sqrt(n),
-    whose powers are at most 2^sqrt(n), are int shifts; an exact Decimal
-    sum takes them in without rounding.
+    holds none past its use.  A run of at least end / _SIEVE_SHARE terms,
+    every long run (start <= end / 2) among them, reads phi from a sieve
+    that grows to 2n whenever n passes its end; a narrower one, a run of one
+    n among them, from divisor_totients(n).  The rotation terms of the
+    divisors above sqrt(n), whose powers are at most 2^sqrt(n), are int
+    shifts; an exact Decimal sum takes them in without rounding.
     """
     small = [[] for _ in range(start, end + 1)]  # the divisors d <= sqrt(n) of n = end..start
     width = end - start
@@ -341,12 +385,13 @@ def _polygon_run(start: int, end: int, group: GroupKind, power) -> Iterator:
     order, lag, what = ((1, 0, "cyclic rotation sum (n={})") if cyclic
                         else (2, 3, "polygon rotation sum (n={})"))
     totients, primes = [0, 1], []  # phi(m) for m < len(totients), and the primes there
-    phi = totients.__getitem__  # a long run's; a short run reads each n's own
+    phi = totients.__getitem__  # a sieved run's; a narrow run reads each n's own
+    sieved = _SIEVE_SHARE * width >= end
     chains = [None] * (isqrt(end) + 1)  # phi(d) 2^(n/d) at the last multiple n of d
     half = quarter = top = None  # the tails' powers and 2^n, once held
     for n in range(start, end + 1):
         below = small.pop()  # dropped once used, so that the sieve shrinks as the run goes
-        if 2 * start > end:  # a short run
+        if not sieved:
             phi = dict(divisor_totients(n)).__getitem__
         elif n >= len(totients):
             _extend_totients(totients, primes, min(end, 2 * n))

@@ -160,12 +160,15 @@ def test_polygon_runs_of_every_shape(unlimited_int_str):
     # each power a term reads is held and doubled from the term that first
     # asks for it: runs of one n; starts 3 to 8, across the n = 3 tail and
     # the first quarter power; long runs whose divisor chains start mid-run;
-    # and short wide runs (2 start > end), in both groups and both number types
+    # runs that start above end / 2, wide enough to sieve or narrow enough to
+    # factorise each n, with the two either side of the rule's bound at
+    # end = 1000; in both groups and both number types
     shapes = [(n, n) for n in (*range(3, 12), 60, 97, 500, 1000, 1024)]
     shapes += [(s, e) for s in range(3, 9) for e in (s + 1, s + 4, 2 * s, 2 * s + 1, 60)]
     shapes += [(3, 2000), (17, 40), (17, 60), (64, 100), (101, 1000), (250, 500),
                (333, 1200)]  # long
-    shapes += [(31, 60), (251, 500), (601, 1200), (777, 800), (1000, 1200)]  # short and wide
+    shapes += [(31, 60), (251, 500), (601, 1200), (777, 800), (1000, 1200),
+               (950, 1000), (951, 1000)]  # start above end / 2
     for group in GroupKind:
         expected = dict(enumerate(census.polygon_values(3, 2000, group), 3))
         assert [expected[n] for n in range(3, 61)] == \
@@ -175,6 +178,23 @@ def test_polygon_runs_of_every_shape(unlimited_int_str):
             assert list(census.polygon_values(start, end, group)) == terms, (start, end, group)
             assert [str(v) for v in census.polygon_decimal(start, end, group)] == \
                 [str(v) for v in terms], (start, end, group)
+
+
+def test_polygon_run_sieves_when_wide(monkeypatch):
+    # a run of at least end / _SIEVE_SHARE terms, every run from start <=
+    # end / 2 among them, reads phi from a sieve; a narrower one, a run of
+    # one n among them, factorises each n
+    real = census.divisor_totients
+    asked = []
+    monkeypatch.setattr(census, "divisor_totients", lambda n: asked.append(n) or real(n))
+    bound = 1000 // census._SIEVE_SHARE  # the least width that sieves at end = 1000
+    for start, end, sieved in ((1000 - bound, 1000, True), (1001 - bound, 1000, False),
+                               (1000, 1000, False), (3, 1000, True), (500, 1000, True),
+                               (2600, 5000, True), (4900, 5000, False)):
+        for group in GroupKind:
+            asked.clear()
+            deque(census.polygon_values(start, end, group), maxlen=0)
+            assert asked == ([] if sieved else list(range(start, end + 1))), (start, end)
 
 
 def test_polygon_run_asks_for_each_power_once():
@@ -312,6 +332,13 @@ def test_mgon_values_compute_each_binomial_once_per_term(monkeypatch):
     calls.clear()
     census.count_mgons(20, 6)  # C(10, 3) is read for d = 2, and C(5, 3) once
     assert sorted(calls) == [(5, 3), (10, 3), (10, 5), (20, 6)]
+    # the decimal route asks its own binomial for the same ones
+    asked = []
+    real_decimal = census._decimal_binomial
+    monkeypatch.setattr(census, "_decimal_binomial",
+                        lambda x, k: asked.append((x, k)) or real_decimal(x, k))
+    assert census.count_mgons_decimal(20, 6) == census.count_mgons(20, 6)
+    assert sorted(asked) == [(5, 3), (10, 3), (10, 5), (20, 6)]
 
 
 def test_polygon_decimal_equals_int_counts(unlimited_int_str):
@@ -325,6 +352,25 @@ def test_polygon_decimal_equals_int_counts(unlimited_int_str):
         assert list(census.polygon_decimal(3, -5, group)) == []
         with pytest.raises(ValueError, match="at least 3"):
             census.polygon_decimal(2, 10, group)  # at the call, before the run is read
+
+
+def test_count_mgons_decimal_equals_int_counts(unlimited_int_str):
+    # binomials of both kinds in decimal, the product tree's with Decimal
+    # leaves and math.comb's converted, at central and far from central m
+    # (m = 3n/10 factorises C(n/2, m - 1), whose k is far above x / 2), in
+    # every residue of n mod 4, both parities of m and both groups, and at
+    # gcd(n, m) with many divisors; the caller's context stays as it was
+    caller = decimal.getcontext()
+    prec, flags = caller.prec, dict(caller.flags)
+    cases = [(n, m) for n in range(4000, 4004)
+             for m in (3, 40, 3 * n // 10, n // 2, n // 2 + 1, n - 1, n)]
+    cases += [(90_000, 45_000), (60_000, 1_500), (10, 11), (10, 2)]
+    for group in GroupKind:
+        for n, m in cases:
+            assert str(census.count_mgons_decimal(n, m, group)) == \
+                str(census.count_mgons(n, m, group)), (n, m, group)
+    assert decimal.getcontext() is caller
+    assert (caller.prec, dict(caller.flags)) == (prec, flags)
 
 
 def test_polygon_decimal_leaves_the_callers_context():
@@ -375,16 +421,20 @@ def test_skewed_totient_fails_every_closed_form(monkeypatch):
             next(census.polygon_decimal(n, n))
         with pytest.raises(census.InternalError, match=rf"cyclic rotation sum \(n={n}\)"):
             next(census.polygon_decimal(n, n, CYCLIC))
-    # a longer run yields the terms before the first even n, then stops there
-    run = census.polygon_decimal(17, 30)
-    assert next(run) == census.count_polygons(17)
-    with pytest.raises(census.InternalError, match=r"\(n=18\)"):
+    # a longer run that factorises each n (one too narrow to sieve) yields
+    # the terms before the first even n, then stops there
+    run = census.polygon_decimal(1001, 1030)
+    assert next(run) == census.count_polygons(1001)
+    with pytest.raises(census.InternalError, match=r"\(n=1002\)"):
         next(run)
     # phi(2) C(n/2, m/2) too, for even n and m, in both groups and in the table
     for group in GroupKind:
         for n, m in ((20, 4), (40_000, 20_000)):
             with pytest.raises(census.InternalError, match=rf"\({m},{n}\) \(\d+ bits\)"):
                 census.count_mgons(n, m, group)
+        # and in decimal: count takes that route for C(40000, 20000)
+        with pytest.raises(census.InternalError, match=r"\(20000,40000\) \(\d+ digits\)"):
+            cli._evaluate_count(40_000, 20_000, group, "closed")
     with pytest.raises(census.InternalError, match=r"^m-gon census numerator \(4,4\) "):
         cli._table(20)
 

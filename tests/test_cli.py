@@ -2,6 +2,7 @@ import decimal
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -108,6 +109,45 @@ def test_count_decimal_route_at_thresholds(capsys, monkeypatch, unlimited_int_st
                 if limit:
                     sys.set_int_max_str_digits(0)
             assert built == ([(n, n)] * 2 if n > cli._DECIMAL_FROM_BITS else []), (limit, n)
+
+
+def test_count_mgon_decimal_route_at_thresholds(capsys, monkeypatch, unlimited_int_str):
+    # a closed-form m-gon count is built in decimal exactly when log2 C(n, m)
+    # is above _DECIMAL_FROM_BITS (C(n, m) has more bits than that, being no
+    # power of two) and the product tree builds C(n, m), and it prints the
+    # same bytes as the int, plain and in JSON, under every digit limit.
+    # C(n, n//2) has 32,765 to 32,772 bits for n = 32,772..32,779: every n
+    # mod 4 and both parities of m, below, at (n = 32,775) and above the bound
+    real = census.count_mgons_decimal
+    built = []
+    monkeypatch.setattr(census, "count_mgons_decimal",
+                        lambda n, m, group: built.append((n, m)) or real(n, m, group))
+    limits = [0, 640, 4300] if hasattr(sys, "set_int_max_str_digits") else [0]
+    central = [(n, m) for n in range(32_772, 32_780) for m in (n // 2, n // 2 + 1)]
+    above = {(n, m) for n, m in central
+             if math.comb(n, m).bit_length() > cli._DECIMAL_FROM_BITS}
+    assert 0 < len(above) < len(central)
+    # gcd(90000, 45000) has 60 divisors, each a rotation term in decimal;
+    # C(10^6, 4000) has about 41,000 bits but is math.comb's; the others are degenerate
+    above.add((90_000, 45_000))
+    for n, m in (*central, (90_000, 45_000), (10**6, 4000), (40_000, 40_000), (40_000, 2),
+                 (40_000, 40_001)):
+        for group in model.GroupKind:
+            expected = str(census.count_mgons(n, m, group))
+            flags = ["count", "--n", str(n), "--m", str(m)] + (["--cyclic"] if group is CYCLIC else [])
+            for limit in limits:
+                if limit:
+                    sys.set_int_max_str_digits(limit)
+                try:
+                    built.clear()
+                    code, out, _ = run(capsys, *flags)
+                    assert code == 0 and out == expected + "\n", (limit, n, m, group)
+                    code, out, _ = run(capsys, *flags, "--format", "json")
+                    assert code == 0 and json.loads(out)["value"] == expected, (limit, n, m, group)
+                finally:
+                    if limit:
+                        sys.set_int_max_str_digits(0)
+                assert built == ([(n, m)] * 2 if (n, m) in above else []), (limit, n, m, group)
 
 
 def test_count_unknown_flag(capsys):

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -154,6 +155,9 @@ def test_binomial_equals_math_comb():
     cases |= {(10_007, 5_003), (10_007, 2_500), (3**9, 3**8 + 1), (3**9, 3**8 - 1),
               (2**14, 2**13 - 1), (5**6, 2 * 5**5 + 1), (7**5, 7**4 * 3 - 1)}
     cases.add((200_002, 100_001))  # a central term near x = 2 * 10^5
+    # the sieve holds odd numbers only: x odd and even, and x = r^2 with r an
+    # odd prime (the last prime up to sqrt x is r itself) or an odd composite
+    cases |= {(x, x // 2 + d) for x in (33**2, 37**2, 37**2 + 1, 41**2) for d in (0, 1)}
     for x, k in sorted(cases):
         assert binomial(x, k) == math.comb(x, k), (x, k)
 
@@ -185,3 +189,26 @@ def test_binomial_past_a_million_agrees_with_lucas():
         expected = lucas_residue(x, k, p)
         assert expected, p  # no carry adding k and x - k in base p (Kummer)
         assert value % p == expected, p
+
+
+def test_prime_product_hands_its_products_to_the_leaf_type(unlimited_int_str):
+    # products stay ints below _LEAF_FROM_BITS bits and are leaves above; a
+    # whole product below it is one int, converted.  Decimal leaves under a
+    # context that raises on rounding give math.comb's value and text
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            traps=[decimal.Inexact, decimal.InvalidOperation])
+    with decimal.localcontext(exact):
+        for x, k in ((1024, 512), (1031, 516), (4001, 2000), (30_003, 15_001),
+                     (3**9, 3**8 + 1)):
+            assert numtheory._factorises(x, k), (x, k)
+            value = numtheory._prime_product_binomial(x, min(k, x - k), decimal.Decimal)
+            assert type(value) is decimal.Decimal and str(value) == str(math.comb(x, k)), (x, k)
+    sizes = []
+    value = numtheory._prime_product_binomial(30_003, 15_001,
+                                              lambda v: sizes.append(v.bit_length()) or v)
+    assert value == math.comb(30_003, 15_001)
+    assert len(sizes) > 1 and sizes[0] >= numtheory._LEAF_FROM_BITS
+    assert max(sizes) < 4 * numtheory._LEAF_FROM_BITS
+    sizes.clear()  # C(1024, 512) has 1,019 bits
+    assert numtheory._prime_product_binomial(1024, 512, lambda v: sizes.append(v) or v) == \
+        math.comb(1024, 512) == sizes[0] and len(sizes) == 1
