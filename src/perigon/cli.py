@@ -8,10 +8,13 @@ the reader closes standard output before the command has written it all.
 calls `main`, flushes standard output and error, and ends the process
 with the code without tearing the interpreter down.
 
+Every count is printed by census.decimal_text, and census.closed_count
+chooses its number type: this module holds no rule on int or Decimal.
+
 Start-up is part of every command's cost, so a standard-library module that
-only some commands use (decimal, json, random, bench's SHA-256) is imported
-inside the function that uses it, not here.  argparse too loads only for help
-and usage errors: main reads a well-formed command line from _COMMANDS itself.
+only some commands use (json, random, bench's SHA-256) is imported inside
+the function that uses it, not here.  argparse too loads only for help and
+usage errors: main reads a well-formed command line from _COMMANDS itself.
 """
 
 from __future__ import annotations
@@ -20,11 +23,9 @@ import os
 import sys
 import time
 from itertools import islice
-from math import lgamma, log
 from types import SimpleNamespace
 
 from . import census, fixcount, model, oracle
-from .numtheory import _factorises
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
 if TYPE_CHECKING:
@@ -103,41 +104,12 @@ def _decimal_digits(v: int) -> int:
     return k + 1 if (v >> k) >= 5**k else k  # v's top bits fall between the bounds
 
 
-# str(int) is quadratic on CPython before 3.12; above this many bits
-# census.decimal_text is faster (measured on 3.10, 3.11 and 3.12)
-_DECIMAL_FROM_BITS = 32_768
-
-
-def _fmt_count(v) -> str:
-    """Decimal text of a count (v >= 0): an int, or a Decimal that
-    census.polygon_decimal built exactly.  A large int, or one that str()
-    refuses under the interpreter's int-to-str digit limit, is printed by
-    census.decimal_text."""
-    if isinstance(v, int) and v.bit_length() > _DECIMAL_FROM_BITS:
-        return census.decimal_text(v)
-    try:
-        return str(v)
-    except ValueError:  # more digits than the limit allows
-        return census.decimal_text(v)
-
-
 def _evaluate_count(n: int, m: int | None, group: model.GroupKind, method: str,
                     scan: oracle.Scan | None = None):
-    """The count by one route: an int, or a Decimal for a closed-form count
-    that may have more than _DECIMAL_FROM_BITS bits: a polygon count when n is
-    above that, and an m-gon count when log2 C(n, m) is and the product tree
-    builds C(n, m).  math.comb's binomials would each need a conversion where
-    the int route converts the count once: at n = 10^6, m = 10^4 that is 45
-    against 35 ms.  The oracle reads a held scan of perimeter n when given one."""
+    """The count by one route: census.closed_count's int or Decimal for the
+    closed form; the oracle reads a held scan of perimeter n when given one."""
     if method == "closed":
-        if m is None:
-            if n > _DECIMAL_FROM_BITS:
-                return next(census.polygon_decimal(n, n, group))
-            return census.count_polygons(n, group)
-        if _factorises(n, m) and (lgamma(n + 1) - lgamma(m + 1) - lgamma(n - m + 1)
-                                  > _DECIMAL_FROM_BITS * log(2)):  # ln C(n, m)
-            return census.count_mgons_decimal(n, m, group)
-        return census.count_mgons(n, m, group)
+        return census.closed_count(n, m, group)
     if method == "burnside":
         if m is None:
             return census.count_polygons_via_burnside(n, group)
@@ -169,12 +141,12 @@ def cmd_count(args: argparse.Namespace) -> int:
             "m": m,
             "cyclic": args.cyclic,
             "method": METHOD_NAMES[args.method],
-            "value": _fmt_count(value),
+            "value": census.decimal_text(value),
             "agreement": None,
         }
         print(json.dumps(report, indent=2))
     else:
-        print(_fmt_count(value))
+        print(census.decimal_text(value))
     return EXIT_OK
 
 
@@ -204,22 +176,22 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise CliError(f"--max-n must be at least 3, got {max_n}")
     triangle, totals = _table(max_n)
     header = ["m\\n", *map(str, range(3, max_n + 1))]
-    footer = ["total", *map(str, totals)]
+    footer = ["total", *map(census.decimal_text, totals)]
     if args.format == "csv":
         print(",".join(header))
-        for m, row in enumerate(triangle, 3):
-            print(str(m) + "," * (m - 2) + ",".join(map(str, row)))  # a blank cell for each n < m
+        for m, row in enumerate(triangle, 3):  # a blank cell for each n < m
+            print(str(m) + "," * (m - 2) + ",".join(map(census.decimal_text, row)))
         print(",".join(footer))
         return EXIT_OK
-    # each column is as wide as its largest int: n, or the total, which is the
-    # sum of the column's counts; the first column holds m\\n, 3..max_n and total
-    widths = [max(len(footer[0]), len(header[-1])),
-              *(len(str(max(n, total))) for n, total in enumerate(totals, 3))]
+    # each column is as wide as its largest count: n, or the total, which is
+    # the sum of the column's counts; the first column holds m\\n, 3..max_n and total
+    widths = [max(len(footer[0]), len(header[-1])), *map(max, map(len, header[1:]),
+                                                          map(len, footer[1:]))]
     print(" ".join(map(str.rjust, header, widths)))
     lead = 0  # the width of row m's blank cells, for n < m, printed as one run of spaces
     for m, row in enumerate(triangle, 3):
         print(str(m).rjust(widths[0]),
-              " " * lead + " ".join(map(str.rjust, map(str, row), widths[m - 2:])))
+              " " * lead + " ".join(map(str.rjust, map(census.decimal_text, row), widths[m - 2:])))
         lead += widths[m - 2] + 1
     print("-" * (sum(widths) + len(widths) - 1))
     print(" ".join(map(str.rjust, footer, widths)))
@@ -248,7 +220,7 @@ def cmd_bfile(args: argparse.Namespace) -> int:
         raise CliError(f"--end {args.end} is below --start {start}")
     values = FAMILIES[args.family](start, args.end, args.m)
     base = args.offset if args.offset is not None else start
-    lines = (f"{i} {_fmt_count(v)}\n" for i, v in enumerate(values, base))
+    lines = (f"{i} {census.decimal_text(v)}\n" for i, v in enumerate(values, base))
     if not args.out:
         _write_chunks(sys.stdout, lines)
         return EXIT_OK
@@ -307,7 +279,7 @@ def verify_checks(max_n: int, seed: int, probes: int):
 def _check(entry: dict, lhs, rhs) -> dict:
     entry["agree"] = lhs == rhs
     if not entry["agree"]:
-        entry["values"] = [str(lhs), str(rhs)]
+        entry["values"] = [census.decimal_text(lhs), census.decimal_text(rhs)]
     return entry
 
 

@@ -5,7 +5,7 @@ Counts are plain Python ints (arbitrary precision, never overflow), and a
 quotient is rounded to the nearest integer in integer arithmetic; nothing
 here touches floats.  The product tree of a large binomial can finish in a
 number type its caller passes, such as an exact decimal.Decimal (see
-census.count_mgons_decimal); this module imports no decimal.
+census.closed_count); this module imports no decimal.
 """
 
 from __future__ import annotations

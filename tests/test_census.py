@@ -56,6 +56,8 @@ COUNTS = {
     "polygon-decimal": lambda x: next(census.polygon_decimal(x, 12)),
     "mgon-values": lambda x: next(census.mgon_values(4, x, 12)),
     "mgon-columns": lambda x: next(census.mgon_columns(x)),
+    "closed-count-n": lambda x: census.closed_count(x),
+    "closed-count-m": lambda x: census.closed_count(10, x),
     # x - 8: a side count outside 3..n, refused as a float, not counted 0
     "mgons-degenerate-m": lambda x: census.count_mgons(10, x - 8),
     "mgons-burnside-degenerate-m": lambda x: census.count_mgons_via_burnside(10, x - 8),
@@ -332,13 +334,16 @@ def test_mgon_values_compute_each_binomial_once_per_term(monkeypatch):
     calls.clear()
     census.count_mgons(20, 6)  # C(10, 3) is read for d = 2, and C(5, 3) once
     assert sorted(calls) == [(5, 3), (10, 3), (10, 5), (20, 6)]
-    # the decimal route asks its own binomial for the same ones
+    # closed_count's decimal route asks its own binomial for the same ones
+    calls.clear()
+    expected = census.count_mgons(40_000, 20_000)
+    int_calls = sorted(calls)
     asked = []
     real_decimal = census._decimal_binomial
     monkeypatch.setattr(census, "_decimal_binomial",
                         lambda x, k: asked.append((x, k)) or real_decimal(x, k))
-    assert census.count_mgons_decimal(20, 6) == census.count_mgons(20, 6)
-    assert sorted(asked) == [(5, 3), (10, 3), (10, 5), (20, 6)]
+    assert census.closed_count(40_000, 20_000) == expected
+    assert sorted(asked) == int_calls
 
 
 def test_polygon_decimal_equals_int_counts(unlimited_int_str):
@@ -354,12 +359,14 @@ def test_polygon_decimal_equals_int_counts(unlimited_int_str):
             census.polygon_decimal(2, 10, group)  # at the call, before the run is read
 
 
-def test_count_mgons_decimal_equals_int_counts(unlimited_int_str):
-    # binomials of both kinds in decimal, the product tree's with Decimal
-    # leaves and math.comb's converted, at central and far from central m
-    # (m = 3n/10 factorises C(n/2, m - 1), whose k is far above x / 2), in
-    # every residue of n mod 4, both parities of m and both groups, and at
-    # gcd(n, m) with many divisors; the caller's context stays as it was
+def test_closed_count_decimal_mgons_equal_int_counts(monkeypatch, unlimited_int_str):
+    # with the bound at 0, closed_count builds every m-gon count whose C(n, m)
+    # the product tree builds in decimal: binomials of both kinds, the product
+    # tree's with Decimal leaves and math.comb's converted, at central and far
+    # from central m (m = 3n/10 factorises C(n/2, m - 1), whose k is far above
+    # x / 2), in every residue of n mod 4, both parities of m and both groups,
+    # and at gcd(n, m) with many divisors; the caller's context stays as it was
+    monkeypatch.setattr(census, "_DECIMAL_FROM_BITS", 0)
     caller = decimal.getcontext()
     prec, flags = caller.prec, dict(caller.flags)
     cases = [(n, m) for n in range(4000, 4004)
@@ -367,8 +374,10 @@ def test_count_mgons_decimal_equals_int_counts(unlimited_int_str):
     cases += [(90_000, 45_000), (60_000, 1_500), (10, 11), (10, 2)]
     for group in GroupKind:
         for n, m in cases:
-            assert str(census.count_mgons_decimal(n, m, group)) == \
-                str(census.count_mgons(n, m, group)), (n, m, group)
+            value = census.closed_count(n, m, group)
+            assert isinstance(value, decimal.Decimal) == census._factorises(n, m), (n, m)
+            assert str(value) == str(census.count_mgons(n, m, group)), (n, m, group)
+    assert sum(census._factorises(n, m) for n, m in cases) == 13
     assert decimal.getcontext() is caller
     assert (caller.prec, dict(caller.flags)) == (prec, flags)
 
@@ -390,7 +399,7 @@ def test_two_power_equals_the_exact_power():
     # every branch of the builder: a read, 2^(k-c) 2^c for each c, the half
     # rule (2^j)^2 2^(k-2j) with k - 2j >= 0 and < 0, and a fresh exact power;
     # each made power is stored, and a derived one is built from the held one
-    with decimal.localcontext(census._exact_context()):
+    def check():
         exact = {k: decimal.Decimal(2) ** k for k in range(1000)}
         held = {100: exact[100]}
         assert census._two_power(held, 100) is exact[100]
@@ -405,6 +414,9 @@ def test_two_power_equals_the_exact_power():
         assert census._two_power({1: exact[1]}, 999) == exact[999]  # nothing close is held
         kept = {}
         assert [census._two_power(kept, k) for k in range(1000)] == list(exact.values())
+        return exact
+
+    exact = census._exact_scope().run(check)
     assert all(str(p) == str(2**k) for k, p in exact.items())
 
 
@@ -432,9 +444,9 @@ def test_skewed_totient_fails_every_closed_form(monkeypatch):
         for n, m in ((20, 4), (40_000, 20_000)):
             with pytest.raises(census.InternalError, match=rf"\({m},{n}\) \(\d+ bits\)"):
                 census.count_mgons(n, m, group)
-        # and in decimal: count takes that route for C(40000, 20000)
+        # and in decimal: closed_count takes that route for C(40000, 20000)
         with pytest.raises(census.InternalError, match=r"\(20000,40000\) \(\d+ digits\)"):
-            cli._evaluate_count(40_000, 20_000, group, "closed")
+            census.closed_count(40_000, 20_000, group)
     with pytest.raises(census.InternalError, match=r"^m-gon census numerator \(4,4\) "):
         cli._table(20)
 

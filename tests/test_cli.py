@@ -85,16 +85,16 @@ def test_count_json_report(capsys):
 
 
 def test_count_decimal_route_at_thresholds(capsys, monkeypatch, unlimited_int_str):
-    # a closed-form polygon count is built in decimal exactly when n is above
-    # _DECIMAL_FROM_BITS, whatever the int-to-str digit limit, and prints the
-    # same bytes under every limit
+    # census.closed_count builds a polygon count in decimal exactly when n is
+    # above _DECIMAL_FROM_BITS, whatever the int-to-str digit limit, and count
+    # prints the same bytes under every limit
     real = census.polygon_decimal
     built = []
     monkeypatch.setattr(census, "polygon_decimal",
                         lambda start, end, group: built.append((start, end))
                         or real(start, end, group))
     limits = [0, 640, 4300] if hasattr(sys, "set_int_max_str_digits") else [0]
-    for n in (cli._DECIMAL_FROM_BITS + d for d in (-1, 0, 1)):
+    for n in (census._DECIMAL_FROM_BITS + d for d in (-1, 0, 1)):
         expected = str(census.count_polygons(n))
         for limit in limits:
             if limit:
@@ -108,24 +108,31 @@ def test_count_decimal_route_at_thresholds(capsys, monkeypatch, unlimited_int_st
             finally:
                 if limit:
                     sys.set_int_max_str_digits(0)
-            assert built == ([(n, n)] * 2 if n > cli._DECIMAL_FROM_BITS else []), (limit, n)
+            assert built == ([(n, n)] * 2 if n > census._DECIMAL_FROM_BITS else []), (limit, n)
 
 
 def test_count_mgon_decimal_route_at_thresholds(capsys, monkeypatch, unlimited_int_str):
-    # a closed-form m-gon count is built in decimal exactly when log2 C(n, m)
-    # is above _DECIMAL_FROM_BITS (C(n, m) has more bits than that, being no
-    # power of two) and the product tree builds C(n, m), and it prints the
-    # same bytes as the int, plain and in JSON, under every digit limit.
-    # C(n, n//2) has 32,765 to 32,772 bits for n = 32,772..32,779: every n
-    # mod 4 and both parities of m, below, at (n = 32,775) and above the bound
-    real = census.count_mgons_decimal
+    # census.closed_count builds an m-gon count in decimal exactly when log2
+    # C(n, m) is above _DECIMAL_FROM_BITS (C(n, m) has more bits than that,
+    # being no power of two) and the product tree builds C(n, m), and count
+    # prints the same bytes as the int, plain and in JSON, under every digit
+    # limit.  C(n, n//2) has 32,765 to 32,772 bits for n = 32,772..32,779:
+    # every n mod 4 and both parities of m, below, at (n = 32,775) and above
+    # the bound
+    real = census.closed_count
     built = []
-    monkeypatch.setattr(census, "count_mgons_decimal",
-                        lambda n, m, group: built.append((n, m)) or real(n, m, group))
+
+    def spy(n, m, group):
+        value = real(n, m, group)
+        if isinstance(value, decimal.Decimal):
+            built.append((n, m))
+        return value
+
+    monkeypatch.setattr(census, "closed_count", spy)
     limits = [0, 640, 4300] if hasattr(sys, "set_int_max_str_digits") else [0]
     central = [(n, m) for n in range(32_772, 32_780) for m in (n // 2, n // 2 + 1)]
     above = {(n, m) for n, m in central
-             if math.comb(n, m).bit_length() > cli._DECIMAL_FROM_BITS}
+             if math.comb(n, m).bit_length() > census._DECIMAL_FROM_BITS}
     assert 0 < len(above) < len(central)
     # gcd(90000, 45000) has 60 divisors, each a rotation term in decimal;
     # C(10^6, 4000) has about 41,000 bits but is math.comb's; the others are degenerate
@@ -259,6 +266,22 @@ def test_table_holds_ints_not_text(monkeypatch):
     finally:
         tracemalloc.stop()
     assert out.written > 1.9e6 and peak < 2 * out.written, (peak, out.written)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str size guard before Python 3.10.7")
+def test_table_prints_cells_past_the_digit_limit(capsys, monkeypatch, unlimited_int_str):
+    # every cell, total and column width is printed through
+    # census.decimal_text: a cell of more than 640 digits, the least limit the
+    # interpreter takes, prints the same bytes in both formats as under none
+    big = 10**700 + 7
+    monkeypatch.setattr(cli, "_table", lambda max_n: ([[1, big], [big + 1]], [1, 2 * big + 1]))
+    expected = {fmt: run(capsys, "table", "--max-n", "4", "--format", fmt)
+                for fmt in ("csv", "plain")}
+    assert all(code == 0 and str(big) in out for code, out, _ in expected.values())
+    sys.set_int_max_str_digits(640)
+    for fmt, printed in expected.items():
+        assert run(capsys, "table", "--max-n", "4", "--format", fmt) == printed, fmt
 
 
 # ---------------------------------------------------------------------------
@@ -735,8 +758,8 @@ def test_log10_2_constant_is_exact_below_2_to_64():
 def test_decimal_path_matches_str(unlimited_int_str):
     values = [0, 1]
     for b in (census._LEAF_BITS - 1, census._LEAF_BITS, census._LEAF_BITS + 1,
-              cli._DECIMAL_FROM_BITS - 1, cli._DECIMAL_FROM_BITS, cli._DECIMAL_FROM_BITS + 1,
-              65_537, 100_000):
+              census._DECIMAL_FROM_BITS - 1, census._DECIMAL_FROM_BITS,
+              census._DECIMAL_FROM_BITS + 1, 65_537, 100_000):
         values += [2**b - 1, 2**b, 2**b + 1]
     for k in (9_860, 9_864, 9_865, 9_870, 30_000):
         values += [10**k - 1, 10**k, 10**k + 1]
@@ -747,17 +770,17 @@ def test_decimal_path_matches_str(unlimited_int_str):
     for v in values:
         text = str(v)
         assert census.decimal_text(v) == text, v.bit_length()
-        assert cli._fmt_count(v) == text, v.bit_length()
+        assert census.decimal_text(decimal.Decimal(text)) == text, v.bit_length()
     assert decimal.getcontext() is caller and (caller.prec, dict(caller.flags)) == (prec, flags)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no int-to-str size guard before Python 3.10.7")
-def test_fmt_count_reads_no_digit_limit(monkeypatch, unlimited_int_str):
-    # _fmt_count tries str() and falls back to census.decimal_text on the
-    # ValueError of the digit limit; it never asks for the limit itself.
-    # 640 is the least nonzero limit the interpreter takes
-    values = [2**b - 1 for b in (1, 1_920, 1_921, cli._DECIMAL_FROM_BITS)]
+def test_decimal_text_reads_no_digit_limit(monkeypatch, unlimited_int_str):
+    # census.decimal_text tries str() and falls back to its exact conversion
+    # on the ValueError of the digit limit; it never asks for the limit
+    # itself.  640 is the least nonzero limit the interpreter takes
+    values = [2**b - 1 for b in (1, 1_920, 1_921, census._DECIMAL_FROM_BITS)]
     texts = [str(v) for v in values]
 
     def lookup():
@@ -767,7 +790,7 @@ def test_fmt_count_reads_no_digit_limit(monkeypatch, unlimited_int_str):
     sys.set_int_max_str_digits(640)
     with pytest.raises(ValueError):
         str(values[-1])
-    assert [cli._fmt_count(v) for v in values] == texts
+    assert [census.decimal_text(v) for v in values] == texts
 
 
 def test_huge_count_prints_its_decimal_value(capsys, unlimited_int_str):
@@ -1024,6 +1047,22 @@ def test_import_loads_no_command_only_modules():
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=60)
     assert done.stdout.startswith("n 100\n") and done.stderr == "0\n"
+
+
+def test_small_counts_load_no_decimal():
+    # a fresh interpreter without site hooks runs small commands of each kind
+    # through cli.main: none loads decimal or contextvars, which only huge
+    # counts and the polygon b-files need
+    commands = [["count", "--n", "16"], ["count", "--n", "20", "--m", "6", "--format", "json"],
+                ["count", "--n", "60", "--m", "12", "--method", "burnside"],
+                ["table", "--max-n", "30"], ["bfile", "--family", "pmn", "--m", "5", "--end", "60"]]
+    code = ("import sys\nfrom perigon import cli\n"
+            f"statuses = [cli.main(argv) for argv in {commands!r}]\n"
+            "print(*statuses, *sorted({'decimal', 'contextvars'} & set(sys.modules)), "
+            "file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=child_env(), check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.startswith("2098\n") and done.stderr == "0 0 0 0 0\n"
 
 
 # ---------------------------------------------------------------------------
