@@ -44,9 +44,9 @@ from math import factorial, gcd, isqrt, lgamma, log
 from operator import add, index
 
 from .fixcount import fix_mgons, fix_polygons
-from .model import GroupKind, element_classes
-from .numtheory import (_factorises, _nearest_quotient, _prime_product_binomial, binomial,
-                        divisor_totients)
+from .model import GroupKind, _at_least, element_classes
+from .numtheory import (_LEAF_FROM_BITS, _factorises, _nearest_quotient, _prime_product_binomial,
+                        binomial, divisor_totients)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
 if TYPE_CHECKING:
@@ -246,8 +246,7 @@ def polygon_values(start: int, end: int,
     no multiple in the run costs one remainder, so a run of one n costs
     about what trial division does.
     """
-    if start < 3:
-        raise ValueError(f"perimeter must be at least 3, got {index(start)}")
+    start = _at_least(start, 3, "perimeter")
     return _polygon_run(start, max(end, start - 1), group, (1).__lshift__)
 
 
@@ -263,8 +262,7 @@ def polygon_decimal(start: int, end: int,
     evaluated in the run's one _exact_scope; between terms the caller's
     context is in force, unchanged.
     """
-    if start < 3:
-        raise ValueError(f"perimeter must be at least 3, got {index(start)}")
+    start = _at_least(start, 3, "perimeter")
     run = _polygon_run(start, max(end, start - 1), group, partial(_two_power, {}))
     return iter(partial(_exact_scope().run, next, run, None), None)
 
@@ -293,20 +291,18 @@ def decimal_text(v: int | Decimal) -> str:
     return str(_exact_scope().run(_to_decimal, v))
 
 
-_LEAF_BITS = 512  # _to_decimal converts an int of at most this many bits directly
-
-
 def _to_decimal(v: int) -> Decimal:
     """v, an int >= 0, as an exact Decimal by divide and conquer: v = hi 2^h
-    + lo, with hi and lo converted recursively and recombined in exact
-    decimal arithmetic, where multiplication is subquadratic (the method of
-    CPython 3.12's Lib/_pylong.py).  Runs in the caller's _exact_scope."""
+    + lo, with hi and lo converted recursively down to _LEAF_FROM_BITS bits
+    and recombined in exact decimal arithmetic, where multiplication is
+    subquadratic (the method of CPython 3.12's Lib/_pylong.py).  Runs in the
+    caller's _exact_scope."""
     from decimal import Decimal
 
     kept: dict[int, Decimal] = {}  # 2^h for the widths h of this one call
 
     def convert(v: int, w: int) -> Decimal:
-        if w <= _LEAF_BITS:
+        if w <= _LEAF_FROM_BITS:
             return Decimal(v)
         h = w >> 1
         hi = v >> h
@@ -467,7 +463,7 @@ def count_polygons_via_burnside(n: int, group: GroupKind = GroupKind.DIHEDRAL) -
 def count_mgons_via_burnside(n: int, m: int, group: GroupKind = GroupKind.DIHEDRAL) -> int:
     """m-gon count assembled from per-class fixed-set sizes over the group; 0
     outside 3 <= m <= n, else equal to count_mgons(n, m, group)."""
-    m = index(m)
+    n, m = index(n), index(m)  # n first: a float n is refused whatever m is
     if m < 3 or m > n:
         return 0
     return _group_average(n, group, lambda cls: fix_mgons(n, m, cls))
@@ -484,9 +480,7 @@ def triangles_nearest(n: int) -> int:
     integer arithmetic; the rounded value never sits on a half-integer.
     Agrees with count_mgons(n, 3) for n >= 3 (and is formula-only below).
     """
-    n = index(n)
-    if n < 1:
-        raise ValueError(f"perimeter must be positive, got {n}")
+    n = _at_least(n, 1, "perimeter")
     square = n * n if n % 2 == 0 else (n + 3) ** 2
     return _nearest_quotient(square, 48)
 
@@ -497,9 +491,7 @@ def quadrilaterals_nearest(n: int) -> int:
     [(n^3 - 3n^2 + 20n)/96] for even n, [(n^3 - 7n)/96] for odd n; agrees
     with count_mgons(n, 4) for n >= 4.
     """
-    n = index(n)
-    if n < 1:
-        raise ValueError(f"perimeter must be positive, got {n}")
+    n = _at_least(n, 1, "perimeter")
     if n % 2 == 0:
         cubic = n**3 - 3 * n**2 + 20 * n
     else:
@@ -515,6 +507,5 @@ def asymptotic_mgon_coefficient(m: int) -> Fraction:
     """Coefficient c(m) with the m-gon count growing like c(m) * n^(m-1)."""
     from fractions import Fraction
 
-    if m < 3:
-        raise ValueError(f"side count must be at least 3, got {m}")
+    m = _at_least(m, 3, "side count")
     return Fraction(2 ** (m - 1) - m, 2**m * factorial(m))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from operator import index
 
-from .model import ElementClass, ElementKind
+from .model import ElementClass, ElementKind, _at_least
 from .numtheory import binomial
 
 __all__ = ["fix_mgons", "fix_polygons"]
@@ -23,8 +23,7 @@ __all__ = ["fix_mgons", "fix_polygons"]
 def _check_class(n: int, cls: ElementClass) -> None:
     """Reject a class that no symmetry of the n-point circle is in: a rotation
     whose order does not divide n, or a reflection of the other parity."""
-    if index(n) < 3:  # index refuses a float n, which would give float counts
-        raise ValueError(f"perimeter must be an int of at least 3, got {index(n)}")
+    _at_least(n, 3, "perimeter")  # refuses a float n, which would give float counts
     if cls.order is not None:  # the rotation classes, and only they, carry an order
         fits = n % cls.order == 0
     else:

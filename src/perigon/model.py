@@ -106,11 +106,14 @@ class GroupKind(Enum):
     DIHEDRAL = "dihedral"
 
 
-def _points(n: int) -> int:
-    """n, checked to be a circle's point count."""
-    if n < 3:
-        raise ValueError("the circle needs at least 3 points")
-    return n
+def _at_least(value: int, least: int, what: str) -> int:
+    """operator.index(value), checked against least: the one input rule of
+    every perimeter and side count.  A float raises TypeError, a bool reads
+    as its int, and a value below least raises ValueError naming what."""
+    value = index(value)
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+    return value
 
 
 class GroupElement(_Record):
@@ -128,7 +131,7 @@ class GroupElement(_Record):
     def __init__(self, n: int, q: int, is_reflection: bool = False) -> None:
         if type(n) is not int or type(q) is not int or type(is_reflection) is not bool:
             raise ValueError("n and q must be ints and is_reflection a bool")
-        _points(n)
+        _at_least(n, 3, "perimeter")
         if not 0 <= q < n:
             raise ValueError(f"offset {q} not reduced mod {n}")
         object.__setattr__(self, "n", n)
@@ -140,11 +143,11 @@ class GroupElement(_Record):
 
     @classmethod
     def rotation(cls, n: int, q: int) -> GroupElement:
-        return cls(n, q % _points(n), False)
+        return cls(n, q % _at_least(n, 3, "perimeter"), False)
 
     @classmethod
     def reflection(cls, n: int, q: int) -> GroupElement:
-        return cls(n, q % _points(n), True)
+        return cls(n, q % _at_least(n, 3, "perimeter"), True)
 
     def permutes(self, i: int) -> int:
         """Image of position i under this symmetry."""
@@ -157,9 +160,6 @@ class GroupElement(_Record):
         if self.is_reflection:
             return self
         return GroupElement(self.n, (-self.q) % self.n, False)
-
-    def __str__(self) -> str:
-        return f"{'reflection' if self.is_reflection else 'rotation'}(n={self.n}, q={self.q})"
 
 
 class ElementKind(Enum):
@@ -204,7 +204,7 @@ class ElementClass(_Record):
 
 def cyclic_group(n: int) -> Iterator[GroupElement]:
     """The n rotations."""
-    return (GroupElement.rotation(n, q) for q in range(_points(n)))
+    return (GroupElement.rotation(n, q) for q in range(_at_least(n, 3, "perimeter")))
 
 
 def dihedral_group(n: int) -> Iterator[GroupElement]:
@@ -249,8 +249,7 @@ def element_classes(n: int, group: GroupKind) -> list[tuple[ElementClass, int]]:
     dihedral group also the n reflections, n/2 of each kind on an even
     circle.  The sizes add up to the group order.
     """
-    if n < 3:
-        raise ValueError(f"perimeter must be at least 3, got {index(n)}")
+    n = _at_least(n, 3, "perimeter")
     classes = [(ElementClass(ElementKind.IDENTITY), 1)]
     classes += [(ElementClass(ElementKind.ROTATION, d), phi) for d, phi in divisor_totients(n)[1:]]
     if group is GroupKind.DIHEDRAL:

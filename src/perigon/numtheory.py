@@ -79,10 +79,12 @@ def _factorises(x: int, k: int) -> bool:
 
 
 # a leaf type other than int takes the product tree over once its products
-# reach this many bits.  With Decimal leaves on CPython 3.11 (2 vCPUs),
+# reach this many bits, and census._to_decimal converts an int of at most
+# this many bits directly.  With Decimal leaves on CPython 3.11 (2 vCPUs),
 # C(200038, 100019) took 13.8-14.3 ms from 2^8 to 2^12 bits, 16.1 ms at 2^14
 # and 29 ms at 2^16, against 21.9 ms for the int tree and decimal_text's
-# conversion of its product
+# conversion of its product; _to_decimal of a 10^6-bit int took 92-104 ms
+# at 2^10 and 91-112 ms at 2^9 (medians of two sets of alternating runs)
 _LEAF_FROM_BITS = 1 << 10
 
 

@@ -61,6 +61,10 @@ COUNTS = {
     # x - 8: a side count outside 3..n, refused as a float, not counted 0
     "mgons-degenerate-m": lambda x: census.count_mgons(10, x - 8),
     "mgons-burnside-degenerate-m": lambda x: census.count_mgons_via_burnside(10, x - 8),
+    # m = 2: no m-gon, yet a float perimeter is refused, not counted 0
+    "mgons-burnside-degenerate-n": lambda x: census.count_mgons_via_burnside(x, 2),
+    "asymptotic": lambda x: census.asymptotic_mgon_coefficient(x),
+    "asymptotic-degenerate": lambda x: census.asymptotic_mgon_coefficient(x - 8),
     "scan": lambda x: Scan(x),
     "scan-weight": lambda x: Scan(10).orbit_count(GroupKind.DIHEDRAL, x),
     "fix-polygons": lambda x: fix_polygons(x, IDENTITY),

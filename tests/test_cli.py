@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import perigon
-from perigon import census, cli, model, oracle
+from perigon import census, cli, fixcount, model, numtheory, oracle
 
 CYCLIC = model.GroupKind.CYCLIC
 
@@ -430,6 +430,8 @@ def test_bfile_range_errors(capsys):
     assert run(capsys, "bfile", "--family", "pn", "--start", "2", "--end", "8")[0] == 2
     assert run(capsys, "bfile", "--family", "pn", "--start", "9", "--end", "8")[0] == 2
     assert run(capsys, "bfile", "--family", "nonsense", "--end", "8")[0] == 2
+    assert run(capsys, "bfile", "--family", "pmn", "--m", "2", "--end", "8") == (
+        2, "", "error: --m must be at least 3, got 2\n")
 
 
 # ---------------------------------------------------------------------------
@@ -481,20 +483,25 @@ def test_verify_rejects_negative_probes(capsys):
 def test_verify_rejects_beyond_oracle_bound(capsys):
     code, _, err = run(capsys, "verify", "--max-n", "30")
     assert code == 2 and "oracle bound" in err
+    assert run(capsys, "verify", "--max-n", "2") == (2, "", "error: --max-n must be at least 3, got 2\n")
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):
     # each route in turn counts one more 4-gon of perimeter 7: the first
-    # failure names it, on the side of the pair that holds the larger value
+    # failure names it, on the side of the pair that holds the larger value.
+    # The fixed-set formula's skew is seen first in the identity's class,
+    # which the failure line names too
     skews = [
-        (census, "count_mgons", "closed-form",
+        (census, "count_mgons", "closed-form", "mgons",
          lambda real: lambda n, m, group: real(n, m, group) + ((n, m) == (7, 4))),
-        (census, "count_mgons_via_burnside", "burnside",
+        (census, "count_mgons_via_burnside", "burnside", "mgons",
          lambda real: lambda n, m, group: real(n, m, group) + ((n, m) == (7, 4))),
-        (oracle.Scan, "orbit_count", "oracle",
+        (oracle.Scan, "orbit_count", "oracle", "mgons",
          lambda real: lambda scan, group, m=None: real(scan, group, m) + ((scan.n, m) == (7, 4))),
+        (fixcount, "fix_mgons", "formula", "fix-mgons",
+         lambda real: lambda n, m, cls: real(n, m, cls) + ((n, m) == (7, 4))),
     ]
-    for owner, name, route, skew in skews:
+    for owner, name, route, subject, skew in skews:
         with monkeypatch.context() as patch:
             patch.setattr(owner, name, skew(getattr(owner, name)))
             code, out, err = run(capsys, "verify", "--max-n", "8")
@@ -503,7 +510,8 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
         report = json.loads(out)
         assert report["all_agree"] is False
         failure = report["first_failure"]
-        assert (failure["n"], failure["m"], failure["subject"]) == (7, 4, "mgons")
+        assert (failure["n"], failure["m"], failure["subject"]) == (7, 4, subject)
+        assert ("class=identity:" in err) == (subject == "fix-mgons"), err
         lhs, rhs = map(int, failure["values"])
         assert abs(lhs - rhs) == 1
         assert failure["pair"][lhs < rhs] == route
@@ -757,9 +765,8 @@ def test_log10_2_constant_is_exact_below_2_to_64():
 
 def test_decimal_path_matches_str(unlimited_int_str):
     values = [0, 1]
-    for b in (census._LEAF_BITS - 1, census._LEAF_BITS, census._LEAF_BITS + 1,
-              census._DECIMAL_FROM_BITS - 1, census._DECIMAL_FROM_BITS,
-              census._DECIMAL_FROM_BITS + 1, 65_537, 100_000):
+    leaf, top = numtheory._LEAF_FROM_BITS, census._DECIMAL_FROM_BITS
+    for b in (leaf - 1, leaf, leaf + 1, top - 1, top, top + 1, 65_537, 100_000):
         values += [2**b - 1, 2**b, 2**b + 1]
     for k in (9_860, 9_864, 9_865, 9_870, 30_000):
         values += [10**k - 1, 10**k, 10**k + 1]

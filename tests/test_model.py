@@ -124,7 +124,7 @@ def test_records_survive_pickle_and_copy(record, same, other, text):
 @pytest.mark.parametrize("build, message", [
     (lambda: CircularTuple((1, 0)), "circular tuples need at least 3 positions"),
     (lambda: CircularTuple((1, 0, 2)), "tuple entries must be 0 or 1"),
-    (lambda: GroupElement(2, 0), "the circle needs at least 3 points"),
+    (lambda: GroupElement(2, 0), "perimeter must be at least 3, got 2"),
     (lambda: GroupElement(5, 5), "offset 5 not reduced mod 5"),
     (lambda: GroupElement(5, -1, True), "offset -1 not reduced mod 5"),
     (lambda: ElementClass(ElementKind.ROTATION),
@@ -299,5 +299,5 @@ def test_group_generators():
     ids=["rotation", "reflection", "cyclic-group", "dihedral-group"])
 def test_small_circles_raise_the_constructors_error(build, n):
     # no ZeroDivisionError from q % n at n = 0, and no empty group for n < 0
-    with pytest.raises(ValueError, match="^the circle needs at least 3 points$"):
+    with pytest.raises(ValueError, match=f"^perimeter must be at least 3, got {n}$"):
         build(n)
