@@ -22,10 +22,10 @@ printed: the polygon b-files read it.  `mgon_values` is the m-gon closed
 form along n for a fixed m: the `pmn` b-files read it, and `count_mgons`
 reads a run of one n.  `closed_count` alone chooses a single count's
 number type: an int, or an exact Decimal from `polygon_decimal` or from
-`mgon_values` with decimal binomials where that prints faster, and
-`decimal_text` prints either whatever the int-to-str digit limit.  The
-exact-decimal layer enters its context through `_exact_scope`, and takes
-its powers of two from `_two_power` and ints from `_to_decimal`.
+`mgon_values` with decimal binomials where that prints faster;
+`decimal_text` prints either whatever the int-to-str digit limit, and
+`decimal_digits` counts an int's digits.  Exact decimals take their
+context, 2^k and ints from `_exact_scope`, `_two_power` and `_to_decimal`.
 `mgon_columns` is the same closed form evaluated one perimeter at a
 time, from Pascal's triangle, with its own rotation accumulation, for
 `table`, which needs every cell; one cell may be far too large for
@@ -44,7 +44,7 @@ from math import factorial, gcd, isqrt, lgamma, log
 from operator import add, index
 
 from .fixcount import fix_mgons, fix_polygons
-from .model import GroupKind, _at_least, element_classes
+from .model import GroupKind, _at_least, _group, element_classes
 from .numtheory import (_LEAF_FROM_BITS, _factorises, _nearest_quotient, _prime_product_binomial,
                         binomial, divisor_totients)
 
@@ -62,6 +62,7 @@ __all__ = [
     "count_mgons_via_burnside",
     "count_polygons",
     "count_polygons_via_burnside",
+    "decimal_digits",
     "decimal_text",
     "mgon_columns",
     "mgon_values",
@@ -122,6 +123,7 @@ def closed_count(n: int, m: int | None = None,
     count when n is above _DECIMAL_FROM_BITS, an m-gon count when log2 C(n, m)
     is and the product tree builds C(n, m); math.comb's binomials would each
     need a conversion (at n = 10^6, m = 10^4, 45 against 35 ms for the int)."""
+    group = _group(group)
     if m is None:
         if n > _DECIMAL_FROM_BITS:
             return next(polygon_decimal(n, n, group))
@@ -157,7 +159,7 @@ def mgon_values(m: int, start: int, end: int,
     not recomputed, and so is C((n+2)//4, m/2) when it equals C(n//4, m/2)
     (even m, n = 0 or 1 mod 4).
     """
-    m = index(m)
+    m, group = index(m), _group(group)
     binom = binomial if binom is None else binom
     first = m if m >= 3 else end + 1  # the least n with an m-gon; past the run when m < 3
     for _ in range(start, min(first, end + 1)):
@@ -247,7 +249,7 @@ def polygon_values(start: int, end: int,
     about what trial division does.
     """
     start = _at_least(start, 3, "perimeter")
-    return _polygon_run(start, max(end, start - 1), group, (1).__lshift__)
+    return _polygon_run(start, max(end, start - 1), _group(group), (1).__lshift__)
 
 
 def polygon_decimal(start: int, end: int,
@@ -263,7 +265,7 @@ def polygon_decimal(start: int, end: int,
     context is in force, unchanged.
     """
     start = _at_least(start, 3, "perimeter")
-    run = _polygon_run(start, max(end, start - 1), group, partial(_two_power, {}))
+    run = _polygon_run(start, max(end, start - 1), _group(group), partial(_two_power, {}))
     return iter(partial(_exact_scope().run, next, run, None), None)
 
 
@@ -289,6 +291,44 @@ def decimal_text(v: int | Decimal) -> str:
         except ValueError:  # more digits than the limit allows
             pass
     return str(_exact_scope().run(_to_decimal, v))
+
+
+# floor(log10(2) * 2^144): (b * _LOG10_2) >> _LOG10_2_SHIFT is floor(b log10(2))
+# for every bit length b < 2^64, far beyond any int that fits in memory (the
+# test suite proves it from the continued fraction of log10(2))
+_LOG10_2_SHIFT = 144
+_LOG10_2 = 6713193230417222942720793591814765458232150
+
+
+def _power5_bounds(k: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2^e <= 5^k <= hi * 2^e, where lo and hi keep the
+    top 128 bits of 5^k: binary powering with every product cut to 128 bits,
+    rounded down for lo and up for hi.  About log2 k small multiplies."""
+    lo = hi = 1
+    e = 0
+    for bit in bin(k)[2:]:
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        if bit == "1":
+            lo, hi = 5 * lo, 5 * hi
+        s = max(hi.bit_length() - 128, 0)
+        lo, hi, e = lo >> s, -(-hi >> s), e + s
+    return lo, hi, e
+
+
+def decimal_digits(v: int) -> int:
+    """Digit count of an int without converting it to decimal (cheap for huge v)."""
+    v = abs(v)
+    if v == 0:
+        return 1
+    # 2^(b-1) <= v < 2^b puts the digit count at k or k + 1; v >= 10^k iff v >> k >= 5^k
+    k = (v.bit_length() * _LOG10_2) >> _LOG10_2_SHIFT
+    lo, hi, e = _power5_bounds(k)
+    top = (v >> k) >> e
+    if top >= hi:
+        return k + 1
+    if top < lo:
+        return k
+    return k + 1 if (v >> k) >= 5**k else k  # v's top bits fall between the bounds
 
 
 def _to_decimal(v: int) -> Decimal:
@@ -463,7 +503,7 @@ def count_polygons_via_burnside(n: int, group: GroupKind = GroupKind.DIHEDRAL) -
 def count_mgons_via_burnside(n: int, m: int, group: GroupKind = GroupKind.DIHEDRAL) -> int:
     """m-gon count assembled from per-class fixed-set sizes over the group; 0
     outside 3 <= m <= n, else equal to count_mgons(n, m, group)."""
-    n, m = index(n), index(m)  # n first: a float n is refused whatever m is
+    n, m, group = index(n), index(m), _group(group)  # n first: a float n is refused whatever m is
     if m < 3 or m > n:
         return 0
     return _group_average(n, group, lambda cls: fix_mgons(n, m, cls))

@@ -8,11 +8,11 @@ the reader closes standard output before the command has written it all.
 calls `main`, flushes standard output and error, and ends the process
 with the code without tearing the interpreter down.
 
-Every count is printed by census.decimal_text, and census.closed_count
-chooses its number type: this module holds no rule on int or Decimal.
+`census` types, prints and digit-counts every count, and perigon.verify
+makes the checks that `verify` reports: this module holds neither rule.
 
-Start-up is part of every command's cost, so a standard-library module that
-only some commands use (json, random, bench's SHA-256) is imported inside
+Start-up is part of every command's cost, so a module that only some
+commands use (json, perigon.verify, bench's SHA-256) is imported inside
 the function that uses it, not here.  argparse too loads only for help and
 usage errors: main reads a well-formed command line from _COMMANDS itself.
 """
@@ -25,14 +25,14 @@ import time
 from itertools import islice
 from types import SimpleNamespace
 
-from . import census, fixcount, model, oracle
+from . import census, model, oracle
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
 if TYPE_CHECKING:
     import argparse
     from typing import NoReturn
 
-__all__ = ["main", "run", "verify_checks"]
+__all__ = ["main", "run"]
 
 REPORT_SCHEMA = "perigon-report/1"
 VERIFY_SCHEMA = "perigon-verify/1"
@@ -63,65 +63,21 @@ class CliError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# shared helpers
+# count
 
 
-# floor(log10(2) * 2^144): (b * _LOG10_2) >> _LOG10_2_SHIFT is floor(b log10(2))
-# for every bit length b < 2^64, far beyond any int that fits in memory (the
-# test suite proves it from the continued fraction of log10(2))
-_LOG10_2_SHIFT = 144
-_LOG10_2 = 6713193230417222942720793591814765458232150
+METHOD_NAMES = {"closed": "closed-form", "burnside": "burnside", "oracle": "oracle"}
 
 
-def _power5_bounds(k: int) -> tuple[int, int, int]:
-    """(lo, hi, e) with lo * 2^e <= 5^k <= hi * 2^e, where lo and hi keep the
-    top 128 bits of 5^k: binary powering with every product cut to 128 bits,
-    rounded down for lo and up for hi.  About log2 k small multiplies."""
-    lo = hi = 1
-    e = 0
-    for bit in bin(k)[2:]:
-        lo, hi, e = lo * lo, hi * hi, 2 * e
-        if bit == "1":
-            lo, hi = 5 * lo, 5 * hi
-        s = max(hi.bit_length() - 128, 0)
-        lo, hi, e = lo >> s, -(-hi >> s), e + s
-    return lo, hi, e
-
-
-def _decimal_digits(v: int) -> int:
-    """Digit count without converting to a decimal string (cheap for huge v)."""
-    v = abs(v)
-    if v == 0:
-        return 1
-    # 2^(b-1) <= v < 2^b puts the digit count at k or k + 1; v >= 10^k iff v >> k >= 5^k
-    k = (v.bit_length() * _LOG10_2) >> _LOG10_2_SHIFT
-    lo, hi, e = _power5_bounds(k)
-    top = (v >> k) >> e
-    if top >= hi:
-        return k + 1
-    if top < lo:
-        return k
-    return k + 1 if (v >> k) >= 5**k else k  # v's top bits fall between the bounds
-
-
-def _evaluate_count(n: int, m: int | None, group: model.GroupKind, method: str,
-                    scan: oracle.Scan | None = None):
-    """The count by one route: census.closed_count's int or Decimal for the
-    closed form; the oracle reads a held scan of perimeter n when given one."""
+def _evaluate_count(n: int, m: int | None, group: model.GroupKind, method: str):
+    """The count by one route; census.closed_count picks the closed form's int or Decimal."""
     if method == "closed":
         return census.closed_count(n, m, group)
     if method == "burnside":
         if m is None:
             return census.count_polygons_via_burnside(n, group)
         return census.count_mgons_via_burnside(n, m, group)
-    return oracle.orbit_count(n, group, weight=m) if scan is None else scan.orbit_count(group, m)
-
-
-METHOD_NAMES = {"closed": "closed-form", "burnside": "burnside", "oracle": "oracle"}
-
-
-# ---------------------------------------------------------------------------
-# count
+    return oracle.orbit_count(n, group, weight=m)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -264,81 +220,10 @@ def _write_chunks(out, lines) -> None:
 # verify
 
 
-def verify_checks(max_n: int, seed: int, probes: int):
-    """The checks of `verify` for perimeters 3..max_n, one record at a time:
-    `n`, `m`, `subject`, `class` for a fixed-set check, `pair` (the two
-    sides compared), `agree`, and `values` (both sides) when they differ.
-    `seed` fixes the randomized probes, `probes` of them per perimeter."""
-    import random
-
-    rng = random.Random(seed)
-    for n in range(3, max_n + 1):
-        yield from _checks_at(n, rng, probes)
-
-
-def _check(entry: dict, lhs, rhs) -> dict:
-    entry["agree"] = lhs == rhs
-    if not entry["agree"]:
-        entry["values"] = [census.decimal_text(lhs), census.decimal_text(rhs)]
-    return entry
-
-
-def _checks_at(n: int, rng, probes: int):
-    """The checks at perimeter n, from one oracle scan of n: its orbit counts
-    and minima, and every element's fixed counts, come from the scan's one pass."""
-    scan = oracle.Scan(n)
-    dihedral, cyclic = model.GroupKind.DIHEDRAL, model.GroupKind.CYCLIC
-    for m in (None, *range(3, n + 1)):
-        closed = {group: _evaluate_count(n, m, group, "closed") for group in (dihedral, cyclic)}
-        for group, method in ((dihedral, "burnside"), (dihedral, "oracle"), (cyclic, "oracle")):
-            subject = (("polygons" if m is None else "mgons")
-                       + ("-cyclic" if group is cyclic else ""))
-            yield _check({"n": n, "m": m, "subject": subject,
-                          "pair": [METHOD_NAMES["closed"], METHOD_NAMES[method]]},
-                         closed[group], _evaluate_count(n, m, group, method, scan))
-
-    # per class: fixed-set formulas from its first element's counts, same counts for the rest
-    elements = list(model.dihedral_group(n))  # the rotations first
-    seen: dict[model.ElementClass, tuple[list[int], int, int]] = {}
-    independent = True
-    for sigma in elements:
-        cls, counts = model.classify(sigma), scan.fixed_counts(sigma)
-        if cls not in seen:
-            seen[cls] = good, every, bad = counts
-            direct_good = sum(good)
-            yield _check({"n": n, "m": None, "subject": "fix-polygons",
-                          "class": str(cls), "pair": ["formula", "direct"]},
-                         fixcount.fix_polygons(n, cls), direct_good)
-            yield _check({"n": n, "m": None, "subject": "fix-partition",
-                          "class": str(cls), "pair": ["good", "all-minus-bad"]},
-                         direct_good, every - bad)
-            for m in range(3, n + 1):
-                yield _check({"n": n, "m": m, "subject": "fix-mgons",
-                              "class": str(cls), "pair": ["formula", "direct"]},
-                             fixcount.fix_mgons(n, m, cls), good[m])
-        elif seen[cls] != counts:
-            independent = False
-    yield _check({"n": n, "m": None, "subject": "fix-class-independence",
-                  "pair": ["direct", "direct"]}, independent, True)
-
-    # randomized canonical-form probes: every member of a random tuple's
-    # orbit has the explicit orbit minimum as its canonical form, and the
-    # minimum is the one member that the oracle's orbit minima hold
-    probes_ok = True
-    for _ in range(probes):
-        a = model.CircularTuple(tuple(rng.randrange(2) for _ in range(n)))
-        images = [model.apply(g, a) for g in elements]
-        for kind, orbit in ((cyclic, set(images[:n])), (dihedral, set(images))):
-            least = min(orbit, key=lambda t: t.bits)
-            if ([b for b in orbit if scan.is_minimum(b, kind)] != [least]
-                    or any(oracle.canonical_form(b, kind).bits != least.bits for b in orbit)):
-                probes_ok = False
-    yield _check({"n": n, "m": None, "subject": "canonical-probes",
-                  "pair": ["oracle", "oracle"]}, probes_ok, True)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     import json
+
+    from .verify import verify_checks
 
     max_n = args.max_n
     if max_n < 3:
@@ -388,7 +273,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # of a decimal conversion on very large results
     digest = sha256(value.to_bytes((value.bit_length() + 7) // 8, "big")).hexdigest()
     print(f"n {n}")
-    print(f"digits {_decimal_digits(value)}")
+    print(f"digits {census.decimal_digits(value)}")
     print(f"sha256 {digest}")
     print(f"seconds {elapsed:.4f}")
     return EXIT_OK

@@ -116,6 +116,13 @@ def _at_least(value: int, least: int, what: str) -> int:
     return value
 
 
+def _group(group: GroupKind) -> GroupKind:
+    """group, checked to be a GroupKind member: the one input rule of every group."""
+    if not isinstance(group, GroupKind):
+        raise TypeError(f"group must be a GroupKind, got {type(group).__name__}")
+    return group
+
+
 class GroupElement(_Record):
     """One symmetry of the n marked circle points: a rotation or a reflection.
 
@@ -249,7 +256,7 @@ def element_classes(n: int, group: GroupKind) -> list[tuple[ElementClass, int]]:
     dihedral group also the n reflections, n/2 of each kind on an even
     circle.  The sizes add up to the group order.
     """
-    n = _at_least(n, 3, "perimeter")
+    n, group = _at_least(n, 3, "perimeter"), _group(group)
     classes = [(ElementClass(ElementKind.IDENTITY), 1)]
     classes += [(ElementClass(ElementKind.ROTATION, d), phi) for d, phi in divisor_totients(n)[1:]]
     if group is GroupKind.DIHEDRAL:

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from operator import index
 
-from .model import CircularTuple, GroupElement, GroupKind, bad_block_threshold, dihedral_group
+from .model import (CircularTuple, GroupElement, GroupKind, _group, bad_block_threshold,
+                    dihedral_group)
 
 __all__ = [
     "ORACLE_MAX_N",
@@ -162,9 +163,9 @@ class Scan:
         With a weight filter m this is the m-gon census (0 outside 3 <= m <= n);
         without, the polygon census.
         """
+        good = self._minima[_group(group)][1]
         if weight is not None and not 3 <= index(weight) <= self.n:
             return 0
-        good = self._minima[group][1]
         return sum(good) if weight is None else good[weight]
 
     def is_minimum(self, a: CircularTuple, group: GroupKind) -> bool:
@@ -175,7 +176,7 @@ class Scan:
         x = 0
         for b in a.bits:  # position 0 in the top bit
             x = 2 * x + b
-        return bool(self._minima[group][0][x >> 3] >> (x & 7) & 1)
+        return bool(self._minima[_group(group)][0][x >> 3] >> (x & 7) & 1)
 
     def fixed_counts(self, sigma: GroupElement) -> tuple[list[int], int, int]:
         """(good, every, bad) for the tuples that sigma fixes: good[m] counts the
@@ -196,14 +197,14 @@ def canonical_form(a: CircularTuple, group: GroupKind) -> CircularTuple:
     orbits; the representative itself is an ordinary circular tuple."""
     _check_scale(a.n)
     n, twice = a.n, bytes(a.bits) * 2  # turn q of a is twice[q:q + n]
-    turns = (twice, twice[::-1]) if group is GroupKind.DIHEDRAL else (twice,)
+    turns = (twice, twice[::-1]) if _group(group) is GroupKind.DIHEDRAL else (twice,)
     return CircularTuple(tuple(min(t[q:q + n] for t in turns for q in range(n))))
 
 
 def orbit_count(n: int, group: GroupKind, weight: int | None = None) -> int:
     """Scan.orbit_count at perimeter n, from a scan built for this call alone
     (0 outside 3 <= m <= n, with no scan built)."""
-    n, weight = index(n), weight if weight is None else index(weight)
+    n, weight, group = index(n), weight if weight is None else index(weight), _group(group)
     if weight is not None and not 3 <= weight <= n:
         return 0
     return Scan(n).orbit_count(group, weight)

@@ -9,7 +9,7 @@ import sys
 import time
 from fractions import Fraction
 
-from perigon import census, cli, fixcount, model, oracle
+from perigon import census, cli, fixcount, model, oracle, verify
 
 # p(m, n) for n = m..20, one row per side count m
 MGON_TABLE = {
@@ -83,7 +83,7 @@ def test_c3_three_way_census_agreement():
     # group average and against the oracle's orbits under both groups
     started = time.perf_counter()
     subjects = {"polygons", "polygons-cyclic", "mgons", "mgons-cyclic"}
-    checks = [c for c in cli.verify_checks(20, cli.DEFAULT_SEED, 0) if c["subject"] in subjects]
+    checks = [c for c in verify.verify_checks(20, cli.DEFAULT_SEED, 0) if c["subject"] in subjects]
     elapsed = time.perf_counter() - started
     assert all(c["agree"] for c in checks)
     want = [(n, m, ("polygons" if m is None else "mgons") + group, ["closed-form", route])

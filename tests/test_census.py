@@ -8,9 +8,9 @@ import pytest
 
 from perigon import census, cli
 from perigon.fixcount import fix_mgons, fix_polygons
-from perigon.model import ElementClass, ElementKind, GroupKind
+from perigon.model import CircularTuple, ElementClass, ElementKind, GroupKind, element_classes
 from perigon.numtheory import divisor_totients
-from perigon.oracle import Scan, orbit_count
+from perigon.oracle import Scan, canonical_form, orbit_count
 
 CYCLIC = GroupKind.CYCLIC
 IDENTITY = ElementClass(ElementKind.IDENTITY)
@@ -96,6 +96,44 @@ def test_every_count_reads_a_bool_as_its_int(count):
 
     for flag in (True, False):
         assert outcome(flag) == outcome(int(flag))
+
+
+# every public count that takes a group, the oracle's entry points and
+# element_classes, with x as the group; "-degenerate" asks for an m outside
+# 3..n, which each route answers with 0 for a GroupKind
+GROUP_COUNTS = {
+    "polygons": lambda x: census.count_polygons(10, x),
+    "polygons-burnside": lambda x: census.count_polygons_via_burnside(10, x),
+    "mgons": lambda x: census.count_mgons(10, 4, x),
+    "mgons-degenerate": lambda x: census.count_mgons(10, 2, x),
+    "mgons-burnside": lambda x: census.count_mgons_via_burnside(10, 4, x),
+    "mgons-burnside-degenerate": lambda x: census.count_mgons_via_burnside(10, 2, x),
+    "polygon-values": lambda x: next(census.polygon_values(10, 12, x)),
+    "polygon-decimal": lambda x: next(census.polygon_decimal(10, 12, x)),
+    "mgon-values": lambda x: next(census.mgon_values(4, 3, 12, x)),  # n = 3 is below m
+    "closed-count": lambda x: census.closed_count(10, None, x),
+    "closed-count-m": lambda x: census.closed_count(10, 4, x),
+    "oracle": lambda x: orbit_count(10, x),
+    "oracle-degenerate": lambda x: orbit_count(10, x, weight=2),
+    "scan": lambda x: Scan(10).orbit_count(x),
+    "scan-degenerate": lambda x: Scan(10).orbit_count(x, 2),
+    "scan-minimum": lambda x: Scan(7).is_minimum(CircularTuple((0, 0, 0, 1, 1, 0, 1)), x),
+    "canonical-form": lambda x: canonical_form(CircularTuple((1, 1, 0, 1, 0, 0, 0)), x),
+    "element-classes": lambda x: element_classes(10, x),
+}
+
+
+@pytest.mark.parametrize("count", GROUP_COUNTS.values(), ids=GROUP_COUNTS)
+def test_every_count_refuses_a_group_that_is_not_a_group_kind(count):
+    # a group's name, None or a number is not a group: every route raises the
+    # one TypeError naming the type, none answers with the dihedral or the
+    # cyclic count, nor fails in some other way
+    for group in GroupKind:
+        count(group)
+    for x in ("cyclic", None, 0):
+        with pytest.raises(TypeError) as err:
+            count(x)
+        assert str(err.value) == f"group must be a GroupKind, got {type(x).__name__}"
 
 
 def test_count_polygons_examples():

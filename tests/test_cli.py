@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import perigon
-from perigon import census, cli, fixcount, model, numtheory, oracle
+from perigon import census, cli, fixcount, model, numtheory, oracle, verify
 
 CYCLIC = model.GroupKind.CYCLIC
 
@@ -459,7 +459,7 @@ def test_verify_documented_sweep(capsys):
 
 def test_verify_census_record_order():
     subjects = {"polygons", "polygons-cyclic", "mgons", "mgons-cyclic"}
-    records = [c for c in cli.verify_checks(7, cli.DEFAULT_SEED, 5) if c["subject"] in subjects]
+    records = [c for c in verify.verify_checks(7, cli.DEFAULT_SEED, 5) if c["subject"] in subjects]
     assert all(list(c) == ["n", "m", "subject", "pair", "agree"] for c in records)
     want = []
     for n in range(3, 8):
@@ -533,7 +533,7 @@ def test_verify_probes_detect_injected_faults(capsys, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "canonical_form", recording_form)
-        assert all(c["agree"] for c in cli.verify_checks(8, cli.DEFAULT_SEED, 5))
+        assert all(c["agree"] for c in verify.verify_checks(8, cli.DEFAULT_SEED, 5))
     columns = oracle._columns(n)
     good = oracle._good_mask(n, columns, (1 << (1 << n)) - 1)  # over all 2^n tuples
     target = min((t for t in probed if len(set(t.bits)) == 2 and not good >> int(str(t), 2) & 1),
@@ -577,7 +577,7 @@ def test_verify_fix_partition_compares_two_goodness_rules(monkeypatch):
     scan = oracle.Scan(6)
     good, every, bad = scan.fixed_counts(model.GroupElement.rotation(6, 0))
     assert sum(good) != every - bad
-    partition = [c for c in cli.verify_checks(6, cli.DEFAULT_SEED, 0)
+    partition = [c for c in verify.verify_checks(6, cli.DEFAULT_SEED, 0)
                  if c["subject"] == "fix-partition" and c["n"] == 6]
     assert partition and not any(c["agree"] for c in partition)
 
@@ -638,7 +638,7 @@ def test_verify_checks_hold_one_scan_at_a_time(monkeypatch):
             weakref.finalize(self, gone)
 
     monkeypatch.setattr(oracle, "Scan", CountedScan)
-    checks = list(cli.verify_checks(10, cli.DEFAULT_SEED, 2))
+    checks = list(verify.verify_checks(10, cli.DEFAULT_SEED, 2))
     assert all(c["agree"] for c in checks)
     assert {c["n"] for c in checks} == set(range(3, 11))
     assert (peak, live) == (1, 0)
@@ -690,7 +690,7 @@ def test_huge_counts_leave_int_str_limit_alone(capsys):
     limit = sys.get_int_max_str_digits()
     code, out, _ = run(capsys, "count", "--n", "100000")
     assert code == 0
-    assert len(out.strip()) == cli._decimal_digits(census.count_polygons(100000))
+    assert len(out.strip()) == census.decimal_digits(census.count_polygons(100000))
     assert sys.get_int_max_str_digits() == limit
     code, out, _ = run(capsys, "bfile", "--family", "pn", "--start", "14990", "--end", "15000")
     assert code == 0 and len(out.splitlines()) == 11
@@ -712,19 +712,19 @@ def test_decimal_digits_matches_str(unlimited_int_str):
     for b in misses:
         values += [2**(b - 1), 2**b - 1, 2**(b - 2), 2**(b - 1) - 1]
     for v in values:
-        assert cli._decimal_digits(v) == len(str(v)), v
+        assert census.decimal_digits(v) == len(str(v)), v
 
 
 def test_power5_bounds_enclose_powers_of_five():
     power = 1
     for k in range(1, 2001):
         power *= 5
-        lo, hi, e = cli._power5_bounds(k)
+        lo, hi, e = census._power5_bounds(k)
         assert lo << e <= power <= hi << e, k
         # at most about 2^(log2 k) apart, out of 128 bits: the fallback is rare
         assert hi.bit_length() <= 129 and hi - lo < 1 << k.bit_length(), k
     for k in (4_300, 30_103, 65_536, 99_991, 299_999, 10**6):
-        lo, hi, e = cli._power5_bounds(k)
+        lo, hi, e = census._power5_bounds(k)
         assert lo << e <= 5**k <= hi << e, k
 
 
@@ -732,22 +732,22 @@ def test_decimal_digits_falls_back_inside_the_bounds(unlimited_int_str):
     # 10^k - 1, 10^k and 10^k + 1 put v's top bits between the bounds, so the
     # exact comparison decides; just outside the bounds, the bounds decide alone
     for k in (60, 100, 1000, 4301, 30_103, 100_000):
-        lo, hi, e = cli._power5_bounds(k)
+        lo, hi, e = census._power5_bounds(k)
         assert e > 0
         for v in (10**k - 1, 10**k, 10**k + 1):
             assert lo <= (v >> k) >> e < hi, k
-            assert cli._decimal_digits(v) == len(str(v)), v
+            assert census.decimal_digits(v) == len(str(v)), v
         for top, digits in ((hi, k + 1), (lo - 1, k)):
             v = (top << (e + k)) | ((1 << (e + k)) - 1)
-            assert (v.bit_length() * cli._LOG10_2) >> cli._LOG10_2_SHIFT == k
-            assert cli._decimal_digits(v) == len(str(v)) == digits, (k, top == hi)
+            assert (v.bit_length() * census._LOG10_2) >> census._LOG10_2_SHIFT == k
+            assert census.decimal_digits(v) == len(str(v)) == digits, (k, top == hi)
 
 
 def test_log10_2_constant_is_exact_below_2_to_64():
     alpha = Fraction(decimal.Context(prec=100).log10(2))  # correctly rounded
     slack = Fraction(1, 10**98)
-    shortfall = alpha - Fraction(cli._LOG10_2, 2**cli._LOG10_2_SHIFT)
-    assert -slack < shortfall < Fraction(1, 2**cli._LOG10_2_SHIFT) + slack
+    shortfall = alpha - Fraction(census._LOG10_2, 2**census._LOG10_2_SHIFT)
+    assert -slack < shortfall < Fraction(1, 2**census._LOG10_2_SHIFT) + slack
     # (b * _LOG10_2) >> _LOG10_2_SHIFT can fall below floor(b log10 2) only when
     # b log10 2 lies within b * shortfall above an integer.  For b < 2^64 the
     # closest approach to an integer is at the last continued-fraction
@@ -1018,10 +1018,11 @@ def test_negative_values_reach_the_range_checks(capsys):
 
 def test_well_formed_command_line_loads_no_argparse():
     # a fresh interpreter without site hooks: main runs a well-formed `count`
-    # with neither argparse nor gettext loaded, and through `python -m
-    # perigon` a bad choice still gets argparse's message and status
+    # with neither argparse, gettext nor the verification engine loaded, and
+    # through `python -m perigon` a bad choice still gets argparse's message
+    # and status
     code = ("import sys\nfrom perigon import cli\nstatus = cli.main(sys.argv[1:])\n"
-            "print(status, *sorted({'argparse', 'gettext'} & set(sys.modules)))")
+            "print(status, *sorted({'argparse', 'gettext', 'perigon.verify'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code, "count", "--n", "16"],
                           env=child_env(), capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "2098\n0\n", "")
@@ -1041,7 +1042,7 @@ def test_import_loads_no_command_only_modules():
     # a fresh interpreter without site hooks (-S), so that nothing a site
     # file preloads can hide a module the package itself pulls in at start-up
     lazy = ("dataclasses", "inspect", "typing", "fractions", "decimal", "json", "hashlib",
-            "random", "pathlib", "argparse", "gettext")
+            "random", "pathlib", "argparse", "gettext", "perigon.verify")
     env = child_env()
     code = f"import perigon.cli, sys; print(*sorted(set({lazy!r}) & set(sys.modules)))"
     loaded = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
