@@ -157,10 +157,13 @@ def mgon_values(m: int, start: int, end: int,
     distinct binomial is computed once per term: the rotation term that
     equals the first reflection binomial (d = 2 for even n and m) is read,
     not recomputed, and so is C((n+2)//4, m/2) when it equals C(n//4, m/2)
-    (even m, n = 0 or 1 mod 4).
+    (even m, n = 0 or 1 mod 4).  The arguments are checked at the call.
     """
-    m, group = index(m), _group(group)
-    binom = binomial if binom is None else binom
+    return _mgon_run(index(m), index(start), index(end), _group(group),
+                     binomial if binom is None else binom)
+
+
+def _mgon_run(m: int, start: int, end: int, group: GroupKind, binom) -> Iterator[int]:
     first = m if m >= 3 else end + 1  # the least n with an m-gon; past the run when m < 3
     for _ in range(start, min(first, end + 1)):
         yield 0
@@ -198,8 +201,12 @@ def mgon_columns(max_n: int) -> Iterator[tuple[int, list[int]]]:
     row n is built from row n - 1 and dropped after its column.  The
     rotation sum is accumulated once per pair (d, phi(d)) of n, adding
     phi(d) C(n/d, j) to the entry at m = d j, in place of a walk over the
-    divisors of gcd(n, m) in every cell.
+    divisors of gcd(n, m) in every cell.  max_n is checked at the call.
     """
+    return _column_run(index(max_n))
+
+
+def _column_run(max_n: int) -> Iterator[tuple[int, list[int]]]:
     kept = [[1]]  # Pascal rows 0..max_n // 2
     row = [1]
     for n in range(1, max_n + 1):
@@ -241,15 +248,15 @@ def polygon_values(start: int, end: int,
     """Return the run of count_polygons(n, group) for n = start..end; the
     run is empty when end < start.
 
-    The one evaluation of the polygon closed form; start is checked at the
-    call, not when the run is first read.  The divisors of all n in the run
-    come from one sieve, which appends each d <= sqrt(end) to its multiples
-    n >= max(start, d^2); the cofactors n / d complete each list.  A d with
-    no multiple in the run costs one remainder, so a run of one n costs
-    about what trial division does.
+    The one evaluation of the polygon closed form; start and end are checked
+    at the call, not when the run is first read.  The divisors of all n in
+    the run come from one sieve, which appends each d <= sqrt(end) to its
+    multiples n >= max(start, d^2); the cofactors n / d complete each list.
+    A d with no multiple in the run costs one remainder, so a run of one n
+    costs about what trial division does.
     """
     start = _at_least(start, 3, "perimeter")
-    return _polygon_run(start, max(end, start - 1), _group(group), (1).__lshift__)
+    return _polygon_run(start, max(index(end), start - 1), _group(group), (1).__lshift__)
 
 
 def polygon_decimal(start: int, end: int,
@@ -265,7 +272,7 @@ def polygon_decimal(start: int, end: int,
     context is in force, unchanged.
     """
     start = _at_least(start, 3, "perimeter")
-    run = _polygon_run(start, max(end, start - 1), _group(group), partial(_two_power, {}))
+    run = _polygon_run(start, max(index(end), start - 1), _group(group), partial(_two_power, {}))
     return iter(partial(_exact_scope().run, next, run, None), None)
 
 

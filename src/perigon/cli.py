@@ -89,9 +89,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     group = model.GroupKind.CYCLIC if args.cyclic else model.GroupKind.DIHEDRAL
     value = _evaluate_count(n, m, group, args.method)
     if args.format == "json":
-        import json
-
-        report = {
+        _write_json({
             "schema": REPORT_SCHEMA,
             "n": n,
             "m": m,
@@ -99,8 +97,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             "method": METHOD_NAMES[args.method],
             "value": census.decimal_text(value),
             "agreement": None,
-        }
-        print(json.dumps(report, indent=2))
+        })
     else:
         print(census.decimal_text(value))
     return EXIT_OK
@@ -216,13 +213,19 @@ def _write_chunks(out, lines) -> None:
         out.write(chunk)
 
 
+def _write_json(report: dict) -> None:
+    """print(json.dumps(report, indent=2)), written as it is encoded: no whole text is held."""
+    import json
+    # the encoder yields no empty piece, so a chunk is empty only at the end
+    _write_chunks(sys.stdout, json.JSONEncoder(indent=2).iterencode(report))
+    sys.stdout.write("\n")
+
+
 # ---------------------------------------------------------------------------
 # verify
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    import json
-
     from .verify import verify_checks
 
     max_n = args.max_n
@@ -234,15 +237,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CliError(f"--max-n {max_n} exceeds the oracle bound {oracle.ORACLE_MAX_N}")
     checks = list(verify_checks(max_n, args.seed, args.probes))
     failure = next((check for check in checks if not check["agree"]), None)
-    report = {
+    _write_json({
         "schema": VERIFY_SCHEMA,
         "max_n": max_n,
         "seed": args.seed,
         "all_agree": failure is None,
         "first_failure": failure,
         "checks": checks,
-    }
-    print(json.dumps(report, indent=2))
+    })
     if failure is not None:
         where = f"n={failure['n']}" + (f", m={failure['m']}" if failure.get("m") else "")
         if "class" in failure:

@@ -136,6 +136,30 @@ def test_every_count_refuses_a_group_that_is_not_a_group_kind(count):
         assert str(err.value) == f"group must be a GroupKind, got {type(x).__name__}"
 
 
+# every run, built with a float in one argument or with a group's name
+RUNS = {
+    "mgon-values-m": lambda: census.mgon_values(4.0, 3, 12),
+    "mgon-values-start": lambda: census.mgon_values(4, 3.0, 12),
+    "mgon-values-end": lambda: census.mgon_values(4, 3, 12.0),
+    "mgon-values-group": lambda: census.mgon_values(4, 3, 12, "cyclic"),
+    "mgon-columns": lambda: census.mgon_columns(10.0),
+    "polygon-values-end": lambda: census.polygon_values(3, 12.0),
+    "polygon-values-group": lambda: census.polygon_values(3, 12, "cyclic"),
+    "polygon-decimal-end": lambda: census.polygon_decimal(3, 12.0),
+    "polygon-decimal-group": lambda: census.polygon_decimal(3, 12, "cyclic"),
+}
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_every_run_checks_its_arguments_at_the_call(run):
+    # a run that is never read still refuses its arguments, with the
+    # TypeError that COUNTS and GROUP_COUNTS expect, not a run that fails later
+    with pytest.raises(TypeError) as err:
+        RUNS[run]()
+    assert str(err.value) == ("group must be a GroupKind, got str" if run.endswith("-group")
+                              else "'float' object cannot be interpreted as an integer")
+
+
 def test_count_polygons_examples():
     assert census.count_polygons(3) == 1
     assert census.count_polygons(10) == 54

@@ -82,6 +82,14 @@ def test_count_json_report(capsys):
     assert report["method"] == "closed-form"
     assert report["value"] == "32"
     assert report["agreement"] is None
+    # two counts that census builds in exact decimal, a polygon and an
+    # m-gon count of 12,037 and 12,034 digits: the JSON writer prints the same text
+    for flags, m in ((("--n", "40000"), None), (("--n", "40000", "--m", "20000"), 20000)):
+        assert isinstance(census.closed_count(40000, m), decimal.Decimal)
+        code, plain, _ = run(capsys, "count", *flags)
+        assert code == 0
+        code, out, _ = run(capsys, "count", *flags, "--format", "json")
+        assert code == 0 and json.loads(out)["value"] + "\n" == plain
 
 
 def test_count_decimal_route_at_thresholds(capsys, monkeypatch, unlimited_int_str):
@@ -664,6 +672,31 @@ def test_verify_report_bytes_are_pinned(capsys, argv, digest):
     code, out, err = run(capsys, "verify", *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class RecordedWrites(io.StringIO):
+    """A text stream that keeps the text of each write call."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_verify_report_is_written_as_it_is_encoded(monkeypatch):
+    # the report is json.dumps(indent=2) and a newline, written in pieces of
+    # at most 8 KiB, never as one string; the encoder yields no empty piece,
+    # which the writer's 64-piece chunks rely on to find the end
+    out = RecordedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["verify", "--max-n", "12"]) == 0
+    text = "".join(out.writes)
+    assert len(text) == 104_534 and text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert max(map(len, out.writes)) <= 8192
+    assert all(json.JSONEncoder(indent=2).iterencode(json.loads(text)))
 
 
 # ---------------------------------------------------------------------------
